@@ -75,8 +75,15 @@ def _finite(name: str, value) -> float:
     return value
 
 
+def _integral(name: str, value) -> int:
+    value = _finite(name, value)
+    if not value.is_integer():
+        raise ConfigError(f"config value {name!r} must be an integer")
+    return int(value)
+
+
 def _chain_from_config(raw: dict, mode: str) -> capacitance.ResonatorChain:
-    n = int(_require(raw, "N"))
+    n = _integral("N", _require(raw, "N"))
     if n < 2:
         raise ConfigError("chain needs N >= 2")
     ell = raw.get("ell", 1.0)
@@ -149,7 +156,7 @@ def load_config(path: Path, out_dir: Path, args) -> RunConfig:
         values = {k: _finite(k, _require(raw, k)) for k in sorted(matrix_keys)}
         values["a"] = _finite("a", raw.get("a", 0.0))
         values["b"] = _finite("b", raw.get("b", 0.0))
-        n = int(_require(raw, "n"))
+        n = _integral("n", _require(raw, "n"))
         if n < 2:
             raise ConfigError("matrix order n must be >= 2")
         try:
@@ -172,6 +179,8 @@ def load_config(path: Path, out_dir: Path, args) -> RunConfig:
             )
         except ValueError:
             raise ConfigError("--grid needs re0,re1,im0,im1,nx,ny") from None
+        if min(grid[4], grid[5]) < 16:
+            raise ConfigError("--grid needs nx, ny >= 16")
 
     epsilons = _DEFAULT_EPS
     if args.eps is not None:

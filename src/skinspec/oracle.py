@@ -102,12 +102,57 @@ def _gershgorin(S: SymTridiagonal) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def sturm_eigenvalues(S: SymTridiagonal, tol: float = 1e-14) -> np.ndarray:
+def _certified_brackets(
+    diag: np.ndarray,
+    off_sq: np.ndarray,
+    guess: np.ndarray,
+    tol: float,
+    glo: float,
+    ghi: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sturm-certified brackets [lo, hi) around eigenvalue estimates ``guess``.
+
+    Bracket k starts at guess[k] +- tol*max(1,|guess[k]|)/2 and holds the k-th
+    eigenvalue exactly when count(lo) <= k < count(hi).  Brackets that fail
+    the test are widened by 16x per count sweep and clipped to the Gershgorin
+    interval, where the test always holds.  Returns (lo, hi, widened).
+    """
+    n = len(diag)
+    guess = np.asarray(guess, dtype=float)
+    if guess.shape != (n,):
+        raise ValueError("guess must hold one estimate per eigenvalue")
+    half = 0.5 * tol * np.maximum(1.0, np.abs(guess))
+    lo = np.full(n, glo)
+    hi = np.full(n, ghi)
+    todo = np.arange(n)
+    # Non-finite estimates carry no information: always bisect those lanes.
+    widened = ~np.isfinite(guess)
+    while len(todo):
+        # fmax/fmin send non-finite estimates straight to the Gershgorin ends.
+        a = np.fmax(guess[todo] - half[todo], glo)
+        b = np.fmin(guess[todo] + half[todo], ghi)
+        counts = _sturm_counts(diag, off_sq, np.concatenate([a, b]))
+        ok = (counts[: len(todo)] <= todo) & (todo < counts[len(todo) :])
+        lo[todo[ok]] = a[ok]
+        hi[todo[ok]] = b[ok]
+        todo = todo[~ok]
+        widened[todo] = True
+        half[todo] *= 16.0
+    return lo, hi, widened
+
+
+def sturm_eigenvalues(
+    S: SymTridiagonal, tol: float = 1e-14, guess: np.ndarray | None = None
+) -> np.ndarray:
     """All eigenvalues of ``S``, ascending, each bisected to width < tol*max(1,|lam|).
 
     Every eigenvalue is certified by its Sturm count, so none can be missed
     or duplicated.  All n bisections advance simultaneously on vectorized
-    count sweeps.
+    count sweeps.  ``guess``, when given, holds estimates of the n
+    eigenvalues in ascending order (e.g. from LAPACK).  Each is first tested
+    on a bracket of width tol*max(1,|guess|) around it; a certified bracket
+    is kept as it is (its width meets the target up to rounding), and only
+    the lanes that fail are widened and then bisected.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -116,11 +161,14 @@ def sturm_eigenvalues(S: SymTridiagonal, tol: float = 1e-14) -> np.ndarray:
         return np.empty(0)
     off_sq = S.offdiag**2
     glo, ghi = _gershgorin(S)
-    lo = np.full(n, glo)
-    hi = np.full(n, ghi)
+    if guess is None:
+        lo = np.full(n, glo)
+        hi = np.full(n, ghi)
+        active = np.ones(n, dtype=bool)
+    else:
+        lo, hi, active = _certified_brackets(S.diag, off_sq, guess, tol, glo, ghi)
     k = np.arange(n)
 
-    active = np.ones(n, dtype=bool)
     for _ in range(_MAX_BISECTION_ROUNDS):
         mid = 0.5 * (lo + hi)
         # Stop a bracket when it reaches the target width or float resolution.

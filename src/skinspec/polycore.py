@@ -91,16 +91,19 @@ class RecurrenceSpec:
     a matrix with corner perturbation ``a`` at eigenvalue ``lam`` these are
     ``xi_q = alpha1 - lam`` and ``xi_p = alpha1 + a - lam``, so
     ``corner_a = xi_p - xi_q``; it defaults to that difference.
+
+    Each field may also be an array of lanes (one recurrence per entry, all
+    of one shape), which :func:`hat_sequences` runs side by side.
     """
 
-    mu: float
-    beta_ratio: float
-    xi_p: float
-    xi_q: float
-    corner_a: float | None = None
+    mu: float | np.ndarray
+    beta_ratio: float | np.ndarray
+    xi_p: float | np.ndarray
+    xi_q: float | np.ndarray
+    corner_a: float | np.ndarray | None = None
 
     def __post_init__(self):
-        if not (self.beta_ratio > 0.0):
+        if not np.all(np.asarray(self.beta_ratio) > 0.0):
             raise ValueError("beta_ratio must be positive")
         if self.corner_a is None:
             object.__setattr__(self, "corner_a", self.xi_p - self.xi_q)
@@ -128,7 +131,7 @@ class HatSequences:
     The true values are ``p_hat[k] * exp(scale_log[k])`` and
     ``q_hat[k] * exp(scale_log[k])``; ``scale_log`` is identically zero
     whenever no rescale was needed (always the case for |mu| <= 1 at
-    practical lengths).
+    practical lengths).  Lane sequences have shape (k_max + 1, lanes).
     """
 
     p_hat: np.ndarray
@@ -138,15 +141,8 @@ class HatSequences:
     def __post_init__(self):
         if self.scale_log is None:
             self.scale_log = np.zeros_like(self.p_hat)
-        if not (len(self.p_hat) == len(self.q_hat) == len(self.scale_log)):
-            raise ValueError("p_hat, q_hat and scale_log must have equal length")
-
-    def p_true(self, k: int) -> float:
-        """Unscaled p_hat_k; may overflow for large |mu| and k."""
-        return self.p_hat[k] * math.exp(self.scale_log[k])
-
-    def q_true(self, k: int) -> float:
-        return self.q_hat[k] * math.exp(self.scale_log[k])
+        if not (np.shape(self.p_hat) == np.shape(self.q_hat) == np.shape(self.scale_log)):
+            raise ValueError("p_hat, q_hat and scale_log must have equal shape")
 
     def log_abs(self) -> tuple[np.ndarray, np.ndarray]:
         """(log|p_hat_k|, log|q_hat_k|) with rescaling undone; -inf at zeros."""
@@ -160,36 +156,39 @@ def hat_sequences(spec: RecurrenceSpec, k_max: int) -> HatSequences:
     """Run the coupled Chebyshev recurrence up to index ``k_max``.
 
     Both families obey ``x_{k+1} = 2*mu*x_k - x_{k-1}`` with the initial
-    values of ``spec``.  A joint rescale by 2**-512 is applied to the running
-    pair whenever either family exceeds 2**512 in magnitude, recorded in
-    ``scale_log``.
+    values of ``spec``; array-valued specs run one lane per entry, and the
+    sequences gain a trailing lane axis.  A lane's running pair is rescaled
+    by 2**-512 whenever either family exceeds 2**512 in magnitude (at the
+    first step, counting the initial pair), recorded in ``scale_log``.  A
+    scalar spec is a single lane without the lane axis.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    p0, p1, q0, q1 = spec.initial_values
-    two_mu = 2.0 * spec.mu
+    p0, p1, q0, q1 = np.broadcast_arrays(*spec.initial_values)
+    two_mu = 2.0 * np.asarray(spec.mu, dtype=float)
 
-    p = np.empty(k_max + 1)
-    q = np.empty(k_max + 1)
-    scale = np.zeros(k_max + 1)
-
-    p[0], q[0] = p0, q0
-    if k_max == 0:
-        return HatSequences(p, q, scale)
-
-    running = 0.0
-    pp, pc = p0, p1
-    qp, qc = q0, q1
-    p[1], q[1], scale[1] = pc, qc, running
+    # seq[k] holds (p_hat_k, q_hat_k); both families share each lane's scale.
+    prev = np.array([p0, q0], dtype=float)
+    cur = np.array([p1, q1], dtype=float)
+    seq = np.empty((k_max + 1,) + prev.shape)
+    rescaled = np.zeros((k_max + 1,) + prev.shape[1:], dtype=bool)
+    seq[0] = prev
+    if k_max >= 1:
+        seq[1] = cur
+    # The initial pair enters the first test; later pairs already passed it.
+    first = np.abs(cur).max(axis=0) > _RESCALE_THRESHOLD
     for k in range(2, k_max + 1):
-        pp, pc = pc, two_mu * pc - pp
-        qp, qc = qc, two_mu * qc - qp
-        if max(abs(pc), abs(qc), abs(pp), abs(qp)) > _RESCALE_THRESHOLD:
-            inv = 1.0 / _RESCALE_THRESHOLD
-            pp *= inv
-            pc *= inv
-            qp *= inv
-            qc *= inv
-            running += _RESCALE_LOG
-        p[k], q[k], scale[k] = pc, qc, running
-    return HatSequences(p, q, scale)
+        prev, cur = cur, two_mu * cur - prev
+        hit = np.abs(cur).max(axis=0) > _RESCALE_THRESHOLD
+        if k == 2:
+            hit |= first
+        if hit.any():
+            prev = np.where(hit, prev / _RESCALE_THRESHOLD, prev)
+            cur = np.where(hit, cur / _RESCALE_THRESHOLD, cur)
+            rescaled[k] = hit
+        seq[k] = cur
+    scale = np.zeros(rescaled.shape)
+    if rescaled.any():
+        # Sequential float cumsum: the same additions as a running total.
+        scale = np.cumsum(np.where(rescaled, _RESCALE_LOG, 0.0), axis=0)
+    return HatSequences(seq[:, 0], seq[:, 1], scale)

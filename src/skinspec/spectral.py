@@ -430,7 +430,12 @@ def sigma_min_many(M, zs: np.ndarray) -> np.ndarray:
         rmat[:, 0, 0] = r11
         rmat[:, 0, 1] = r12
         rmat[:, 1, 1] = np.linalg.norm(w, axis=0)
-        return np.linalg.svd(rmat, compute_uv=False)[:, -1]
+        # A singular LU leaves non-finite columns; such lanes get no Ritz
+        # estimate and are decided by the singular flag and the direct bound.
+        est = np.full(len(zs), np.inf)
+        finite = np.isfinite(rmat).all(axis=(1, 2))
+        est[finite] = np.linalg.svd(rmat[finite], compute_uv=False)[:, -1]
+        return est
 
     def orthonormalize(q1, q2):
         n1 = np.linalg.norm(q1, axis=0)

@@ -18,9 +18,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from . import oracle
-from .polycore import RecurrenceSpec, hat_sequences, y_map
+from .polycore import HatSequences, RecurrenceSpec, hat_sequences, y_map
 
 __all__ = [
     "NotAnEigenvalueError",
@@ -47,6 +48,8 @@ __all__ = [
 _BULK_TOL = 1e-10
 _RESIDUAL_RTOL = 1e-9
 _CLUSTER_RTOL = 1e-8
+# Eigenvalues per closed-form batch: bounds the (lanes x n) temporaries.
+_LANE_BLOCK = 256
 
 
 class NotAnEigenvalueError(ValueError):
@@ -276,74 +279,92 @@ def _sign_power(sign: float, k: np.ndarray) -> np.ndarray:
     return np.where(k % 2 == 0, 1.0, sign)
 
 
-def _assemble_exact(params: PerturbedDimerParams, n: int, lam: float) -> np.ndarray:
-    """Closed-form eigenvector candidate, unit sup-norm, assembled in log space."""
+def _assemble_exact(
+    hats: HatSequences, log_step: np.ndarray, step_sign: float, c_even: np.ndarray, n: int
+) -> np.ndarray:
+    """Closed-form eigenvector candidates, one column per lane, assembled in log space.
+
+    Column j interleaves lane j of ``hats``: odd positions step^k * q_hat_k,
+    even positions c_even * step^k * p_hat_k with c_even = -(alpha1 - lam)/beta1,
+    scaled to unit sup-norm.  ``log_step`` and ``c_even`` hold each lane's
+    log|step| and c_even; ``step_sign`` is sign(step), common to all lanes.
+    Columns where the formula degenerates (all zero or non-finite) are NaN.
+    """
     m = n // 2
-    odd = bool(n % 2)
-    xi_q = params.alpha1 - lam
-    xi_p = params.alpha1 + params.a - lam
-    mu = y_map(params, lam)
-    spec = RecurrenceSpec(
-        mu=mu, beta_ratio=params.beta_ratio, xi_p=xi_p, xi_q=xi_q, corner_a=params.a
-    )
-    k_q = m if odd else m - 1
-    hats = hat_sequences(spec, max(k_q, m - 1))
+    k_q = len(hats.q_hat) - 1  # m for odd n, m - 1 for even n
     log_p, log_q = hats.log_abs()
-    sign_p = np.sign(hats.p_hat)
-    sign_q = np.sign(hats.q_hat)
+    kq = np.arange(k_q + 1)[:, None]
+    kp = np.arange(m)[:, None]
 
-    step = params.step
-    log_step = math.log(abs(step))
-    step_sign = 1.0 if step > 0 else -1.0
-    c_even = -(params.alpha1 - lam) / params.beta1
-
-    logs = np.full(n, -np.inf)
-    signs = np.zeros(n)
-    kq = np.arange(k_q + 1)
+    logs = np.empty((n, len(c_even)))
     logs[0::2] = log_q[: k_q + 1] + kq * log_step
-    signs[0::2] = sign_q[: k_q + 1] * _sign_power(step_sign, kq)
-    kp = np.arange(m)
     with np.errstate(divide="ignore"):
-        log_c = np.log(abs(c_even))
-    logs[1::2] = log_p[:m] + kp * log_step + log_c
-    signs[1::2] = sign_p[:m] * _sign_power(step_sign, kp) * np.sign(c_even)
-
-    top = np.max(logs)
-    if not np.isfinite(top):
-        raise NotAnEigenvalueError(
-            f"closed-form eigenvector degenerates to zero at lambda={lam!r}"
-        )
-    vec = signs * np.exp(logs - top)
-    return oracle.sign_fixed(vec)
+        logs[1::2] = log_p[:m] + kp * log_step + np.log(np.abs(c_even))
+    top = np.max(logs, axis=0)
+    with np.errstate(invalid="ignore"):
+        vecs = np.exp(logs - top)
+    vecs[0::2] *= np.sign(hats.q_hat[: k_q + 1]) * _sign_power(step_sign, kq)
+    vecs[1::2] *= np.sign(hats.p_hat[:m]) * _sign_power(step_sign, kp) * np.sign(c_even)
+    vecs[:, ~np.isfinite(top)] = np.nan
+    return vecs
 
 
-def _assemble_best(params: PerturbedDimerParams, T, n: int, lam: float):
-    """Closed-form vector from the better-conditioned recurrence direction.
+def _residuals(T: TridiagonalMatrix, vecs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Sup-norm residual |T v - lam v| of each column of ``vecs``; inf for NaN columns."""
+    out = T.diag[:, None] * vecs
+    out[:-1] += T.upper[:, None] * vecs[1:]
+    out[1:] += T.lower[:, None] * vecs[:-1]
+    out -= lams * vecs
+    res = np.max(np.abs(out, out=out), axis=0)
+    return np.where(np.isnan(res), np.inf, res)
+
+
+def _closed_form(
+    params: PerturbedDimerParams, T: TridiagonalMatrix, lams: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenvectors at ``lams`` (rows, unit sup-norm) and their residuals.
 
     The forward assembly keeps the component that grows towards the right
     edge; a mode decaying to the right (e.g. a left-corner defect state with
     |mu| > 1) is captured by assembling on the mirrored parameters and
-    reversing.  Both are exact formulas; pick whichever leaves the smaller
-    residual.
+    reversing.  Both are exact formulas; each lane keeps whichever leaves the
+    smaller residual, and one lane-vectorized recurrence runs both
+    directions.  The residual is inf where both directions degenerate.
     """
-    best = None
-    best_res = np.inf
-    for mirrored in (False, True):
-        try:
-            if mirrored:
-                vec = _assemble_exact(params.mirror_params(n), n, lam)[::-1]
-            else:
-                vec = _assemble_exact(params, n, lam)
-        except NotAnEigenvalueError:
-            continue
-        res = float(np.max(np.abs(T.matvec(vec) - lam * vec)))
-        if res < best_res:
-            best, best_res = vec, res
-    if best is None:
-        raise NotAnEigenvalueError(
-            f"closed-form eigenvector degenerates to zero at lambda={lam!r}"
-        )
-    return oracle.sign_fixed(best), best_res
+    n = T.order
+    lanes = len(lams)
+    both = (params, params.mirror_params(n))
+
+    def per_lane(values):
+        return np.repeat(values, lanes)
+
+    alpha1 = per_lane([q.alpha1 for q in both])
+    lam2 = np.tile(lams, 2)
+    spec = RecurrenceSpec(
+        mu=np.concatenate([y_map(q, lams) for q in both]),
+        beta_ratio=per_lane([q.beta_ratio for q in both]),
+        xi_p=alpha1 + per_lane([q.a for q in both]) - lam2,
+        xi_q=alpha1 - lam2,
+    )
+    m = n // 2
+    hats = hat_sequences(spec, m if n % 2 else m - 1)
+    vecs = _assemble_exact(
+        hats,
+        log_step=per_lane([math.log(abs(q.step)) for q in both]),
+        # Mirroring keeps sign(step): both band pairs keep their signs.
+        step_sign=1.0 if params.step > 0 else -1.0,
+        c_even=-(alpha1 - lam2) / per_lane([q.beta1 for q in both]),
+        n=n,
+    )
+    forward, mirrored = vecs[:, :lanes], vecs[::-1, lanes:]
+    res_f = _residuals(T, forward, lams)
+    res_m = _residuals(T, mirrored, lams)
+    use_m = res_m < res_f
+    vecs = np.where(use_m, mirrored, forward).T.copy()
+    # Deterministic sign: the first largest-magnitude entry is positive.
+    peak = vecs[np.arange(lanes), np.argmax(np.abs(vecs), axis=1)]
+    vecs *= np.where(peak < 0.0, -1.0, 1.0)[:, None]
+    return vecs, np.where(use_m, res_m, res_f)
 
 
 def eigenvector_exact(params: PerturbedDimerParams, n: int, lam: float) -> np.ndarray:
@@ -358,13 +379,16 @@ def eigenvector_exact(params: PerturbedDimerParams, n: int, lam: float) -> np.nd
     1e-9 * max(1, |lam|), i.e. when ``lam`` is not an eigenvalue to working
     accuracy (or the formula degenerates, e.g. at a = 0, lam = alpha1).
     """
-    T = build_perturbed(params, n)
-    vec, res = _assemble_best(params, T, n, lam)
-    if res > _RESIDUAL_RTOL * max(1.0, abs(lam)):
+    vecs, res = _closed_form(params, build_perturbed(params, n), np.array([float(lam)]))
+    if not np.isfinite(res[0]):
         raise NotAnEigenvalueError(
-            f"residual {res:.3e} too large at lambda={lam!r}; not an eigenvalue"
+            f"closed-form eigenvector degenerates to zero at lambda={lam!r}"
         )
-    return vec
+    if res[0] > _RESIDUAL_RTOL * max(1.0, abs(lam)):
+        raise NotAnEigenvalueError(
+            f"residual {res[0]:.3e} too large at lambda={lam!r}; not an eigenvalue"
+        )
+    return vecs[0]
 
 
 def mirrored_eigenvector(params: PerturbedDimerParams, n: int, lam: float) -> np.ndarray:
@@ -395,23 +419,28 @@ def _classify(params: PerturbedDimerParams | None, lam: float):
     return mu, None, "exceptional"
 
 
-def _vector_via_oracle(T, lam, cluster):
-    return oracle.inverse_iteration_vector(T, lam, orthogonal_to=cluster)
-
-
 def eigen_all(
     params: PerturbedDimerParams, n: int, tol: float = 1e-14
 ) -> list[Eigenpair]:
     """All eigenpairs of the order-n perturbed dimer matrix, sorted by eigenvalue.
 
-    Eigenvalues come from Sturm bisection on the symmetrized matrix;
-    eigenvectors from the closed-form assembly, falling back to inverse
-    iteration (reorthogonalized inside numerically coincident clusters) when
-    the formula degenerates.
+    Eigenvalues are LAPACK (dsterf) estimates on the symmetrized matrix, each
+    certified by Sturm counts in a bracket of width tol*max(1,|lam|) and
+    bisected where that fails.  Eigenvectors come from the closed-form
+    assembly, run on fixed-size batches of eigenvalues at once, falling back to
+    inverse iteration (reorthogonalized inside numerically coincident
+    clusters) when the formula degenerates.
     """
     T = build_perturbed(params, n)
-    lams = oracle.sturm_eigenvalues(oracle.symmetrize(T), tol)
-    return _pair_up(T, lams, params)
+    S = oracle.symmetrize(T)
+    guess = eigh_tridiagonal(S.diag, S.offdiag, eigvals_only=True, lapack_driver="sterf")
+    lams = oracle.sturm_eigenvalues(S, tol, guess=guess)
+    blocks = [
+        _closed_form(params, T, lams[i : i + _LANE_BLOCK]) for i in range(0, n, _LANE_BLOCK)
+    ]
+    vectors = [v for vecs, _ in blocks for v in vecs]
+    residuals = np.concatenate([res for _, res in blocks])
+    return _pair_up(T, lams, params, vectors, residuals)
 
 
 def solve_tridiagonal_eigenpairs(
@@ -427,30 +456,30 @@ def solve_tridiagonal_eigenpairs(
     classification through its y-map.
     """
     lams = oracle.sturm_eigenvalues(oracle.symmetrize(T), tol)
-    return _pair_up(T, lams, params, exact_params=None)
+    return _pair_up(T, lams, params)
 
 
-def _pair_up(T, lams, params, exact_params="same"):
-    if exact_params == "same":
-        exact_params = params
+def _pair_up(T, lams, params, exact=None, exact_res=None):
+    """Eigenpairs from closed-form candidates ``exact`` (with residuals ``exact_res``).
+
+    A candidate is kept when its residual is at most 1e-9*max(1,|lam|) and it
+    is not parallel to a vector already taken in the same numerically
+    coincident cluster; otherwise (and always without ``exact``) the vector
+    comes from inverse iteration, reorthogonalized against the cluster.
+    """
     pairs: list[Eigenpair] = []
     cluster: list[np.ndarray] = []
     cluster_lam = None
-    n = T.order
-    for lam in lams:
+    for i, lam in enumerate(lams):
         scale = max(1.0, abs(lam))
         if cluster_lam is None or abs(lam - cluster_lam) > _CLUSTER_RTOL * scale:
             cluster = []
         cluster_lam = lam
 
-        vec = None
-        res = np.inf
         method = "exact"
-        if exact_params is not None:
-            try:
-                vec, res = _assemble_best(exact_params, T, n, lam)
-            except NotAnEigenvalueError:
-                vec = None
+        vec = None
+        if exact is not None and exact_res[i] <= _RESIDUAL_RTOL * scale:
+            vec, res = exact[i], float(exact_res[i])
         if vec is not None and cluster:
             # Degenerate shifts make the formula reproduce the previous
             # vector; detect and fall through to orthogonalized iteration.
@@ -459,10 +488,8 @@ def _pair_up(T, lams, params, exact_params="same"):
                 if cos > 1.0 - 1e-8:
                     vec = None
                     break
-        if vec is not None and res > _RESIDUAL_RTOL * scale:
-            vec = None
         if vec is None:
-            vec = _vector_via_oracle(T, lam, cluster)
+            vec = oracle.inverse_iteration_vector(T, lam, orthogonal_to=cluster)
             res = float(np.max(np.abs(T.matvec(vec) - lam * vec)))
             method = "inverse_iteration"
         mu, theta, klass = _classify(params, lam)

@@ -76,6 +76,24 @@ def test_interface_unequal_lengths_exit2(tmp_path):
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_non_integral_order_exit2(tmp_path):
+    for name, bad in (
+        ("n_frac.json", dict(FIG1, n=2.7)),
+        ("n_text.json", dict(FIG1, n="x")),
+        ("N_text.json", dict(DIMER, N="x")),
+    ):
+        cfg = write_config(tmp_path, name, bad)
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_topology_small_grid_exit2(tmp_path):
+    cfg = write_config(tmp_path, "dimer.json", DIMER)
+    code = main([
+        "topology", "--config", str(cfg), "--out", str(tmp_path / "o"), "--grid=-1,5,-2,2,8,8",
+    ])
+    assert code == 2
+
+
 def test_modes_matrix_residuals(tmp_path):
     cfg = write_config(tmp_path, "fig1.json", dict(FIG1, n=41))
     out = tmp_path / "out"

@@ -95,6 +95,22 @@ def test_sturm_matches_lapack():
     assert lams == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
+def test_sturm_guess_certifies_or_widens_back_to_oracle():
+    # LAPACK estimates are certified in place; estimates off by 1e-6, by a
+    # whole eigenvalue gap, or not finite fail certification and are widened
+    # and bisected back to the eigenvalues of the guess-free oracle.
+    rng = np.random.default_rng(37)
+    S = oracle.symmetrize(build_perturbed(random_admissible(rng), 40))
+    ref = oracle.sturm_eigenvalues(S)
+    gap = np.append(np.diff(ref), 1.0)
+    lapack = eigh_tridiagonal(S.diag, S.offdiag, eigvals_only=True, lapack_driver="sterf")
+    for guess in (lapack, ref + 1e-6, ref + gap, ref - gap, np.full(40, np.nan)):
+        lams = oracle.sturm_eigenvalues(S, guess=guess)
+        assert np.all(np.abs(lams - ref) <= 2e-14 * np.maximum(1.0, np.abs(ref)))
+    with pytest.raises(ValueError):
+        oracle.sturm_eigenvalues(S, guess=ref[:-1])
+
+
 def test_interlacing_with_trailing_submatrix():
     rng = np.random.default_rng(29)
     p = random_admissible(rng)

@@ -172,3 +172,59 @@ def test_hat_sequences_rejects_bad_input():
         hat_sequences(spec, -1)
     h = hat_sequences(spec, 0)
     assert len(h.p_hat) == 1
+
+
+def _scalar_hats(spec: RecurrenceSpec, k_max: int):
+    """Reference recurrence, one Python float at a time, with the 2**512 rescale rule."""
+    p0, p1, q0, q1 = (float(v) for v in spec.initial_values)
+    two_mu = 2.0 * spec.mu
+    p, q, scale = [p0, p1], [q0, q1], [0.0, 0.0]
+    pp, pc, qp, qc = p0, p1, q0, q1
+    running = 0.0
+    for _ in range(2, k_max + 1):
+        pp, pc = pc, two_mu * pc - pp
+        qp, qc = qc, two_mu * qc - qp
+        if max(abs(pc), abs(qc), abs(pp), abs(qp)) > 2.0**512:
+            pp, pc, qp, qc = (x * 2.0**-512 for x in (pp, pc, qp, qc))
+            running += 512.0 * math.log(2.0)
+        p.append(pc)
+        q.append(qc)
+        scale.append(running)
+    return np.array(p), np.array(q), np.array(scale)
+
+
+def test_lane_hats_match_scalar_reference_bitwise():
+    # Bulk lanes, |mu| > 1 lanes that rescale many times, and two lanes whose
+    # initial pair already exceeds 2**512: one rescaled by its k = 2 values
+    # too, one (mu = 0) only because the initial pair enters the k = 2 test.
+    rng = np.random.default_rng(4321)
+    extra = np.array([
+        # mu, beta_ratio, xi_p, xi_q
+        [3.0, 1.0, 1.0, 0.5],
+        [-40.0, 0.7, -2.0, 3.0],
+        [1e100, 0.7, 1e60, 1.0],
+        [0.0, 1e-10, 1e150, -1e150],
+    ])
+    mu, beta, xi_p, xi_q = np.vstack([
+        np.array([rng.uniform(-1.2, 1.2, 40), rng.uniform(0.2, 3.0, 40),
+                  rng.uniform(-4, 4, 40), rng.uniform(-4, 4, 40)]).T,
+        extra,
+    ]).T
+    k_max = 1200
+    h = hat_sequences(RecurrenceSpec(mu=mu, beta_ratio=beta, xi_p=xi_p, xi_q=xi_q), k_max)
+    assert h.p_hat.shape == (k_max + 1, len(mu))
+    assert np.all(h.scale_log[2, -2:] > 0.0)
+    assert np.all(h.scale_log[-1, -4:] > 0.0)
+    for j in range(len(mu)):
+        lane = RecurrenceSpec(
+            mu=float(mu[j]), beta_ratio=float(beta[j]), xi_p=float(xi_p[j]), xi_q=float(xi_q[j])
+        )
+        ref = _scalar_hats(lane, k_max)
+        single = hat_sequences(lane, k_max)
+        for got, one, want in zip(
+            (h.p_hat[:, j], h.q_hat[:, j], h.scale_log[:, j]),
+            (single.p_hat, single.q_hat, single.scale_log),
+            ref,
+        ):
+            assert np.array_equal(got, want)
+            assert np.array_equal(one, want)

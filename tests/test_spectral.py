@@ -137,6 +137,16 @@ def test_sigma_min_at_eigenvalue(cap_params, dimer_chain_50):
     assert sigma_min(M, complex(lam)) <= 1e-10 * norm
 
 
+def test_sigma_min_exact_kernel_eigenvalue(dimer_chain_50):
+    # z = 0 is an exact eigenvalue (constant kernel vector), so the lane LU is
+    # singular; the lane must come back as 0 without disturbing its batch.
+    M = sk.gauge_capacitance(dimer_chain_50)
+    assert sigma_min(M, 0j) == 0.0
+    batch = sigma_min_many(M, np.array([0j, 0.5 + 0.1j]))
+    assert batch[0] == 0.0
+    assert batch[1] == pytest.approx(sigma_min(M, 0.5 + 0.1j), rel=1e-9)
+
+
 def test_sigma_min_matches_dense_svd():
     rng = np.random.default_rng(7)
     T = TridiagonalMatrix(rng.normal(size=8), rng.normal(size=7), rng.normal(size=7))

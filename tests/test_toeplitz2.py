@@ -8,7 +8,6 @@ import skinspec as sk
 from skinspec import oracle
 from skinspec.toeplitz2 import (
     NotAnEigenvalueError,
-    _assemble_exact,
     bracket_report,
     build_interface,
     build_perturbed,
@@ -119,8 +118,8 @@ def test_eigenvector_exact_formula_degeneracy_falls_back():
     k = int(np.argmin([abs(q.lam - p.alpha1) for q in pairs]))
     assert pairs[k].lam == pytest.approx(p.alpha1, abs=1e-10)
     assert pairs[k].residual <= 1e-9
-    with pytest.raises(NotAnEigenvalueError):
-        _assemble_exact(p, 9, p.alpha1)
+    with pytest.raises(NotAnEigenvalueError, match="degenerates"):
+        eigenvector_exact(p, 9, p.alpha1)
 
 
 def test_exact_residuals_up_to_201(fig1_params):
@@ -273,3 +272,18 @@ def test_oracle_exact_agreement_large(fig1_params):
     lams = oracle.sturm_eigenvalues(oracle.symmetrize(T))
     pairs = eigen_all(fig1_params, 201)
     assert np.array([q.lam for q in pairs]) == pytest.approx(lams, rel=1e-10)
+
+
+def test_eigen_all_1400_both_sign_patterns(fig1_params):
+    for sign in (1.0, -1.0):
+        p = replace(
+            fig1_params,
+            beta1=sign * fig1_params.beta1, beta2=sign * fig1_params.beta2,
+            gamma1=sign * fig1_params.gamma1, gamma2=sign * fig1_params.gamma2,
+        )
+        pairs = eigen_all(p, 1400)
+        lams = np.array([q.lam for q in pairs])
+        ref = oracle.sturm_eigenvalues(oracle.symmetrize(build_perturbed(p, 1400)))
+        assert np.all(np.abs(lams - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+        assert all(q.method == "exact" for q in pairs)
+        assert all(q.residual <= 1e-9 * max(1.0, abs(q.lam)) for q in pairs)
