@@ -35,6 +35,14 @@ __all__ = [
 _KERNEL_RTOL = 1e-10
 
 
+def _exp(x: float) -> float:
+    """math.exp, reporting overflow (|gamma*ell| beyond ~709) as FloatingPointError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise FloatingPointError(f"exp({x:g}) overflows: gauge potential too strong") from None
+
+
 @dataclass(frozen=True)
 class ResonatorChain:
     """Geometry and material data of a resonator chain.
@@ -110,21 +118,22 @@ def gauge_capacitance(chain: ResonatorChain) -> TridiagonalMatrix:
     n = chain.size
 
     diag = np.empty(n)
-    diag[0] = (g[0] / s[0]) * l[0] / (1.0 - math.exp(-g[0] * l[0]))
+    diag[0] = (g[0] / s[0]) * l[0] / (1.0 - _exp(-g[0] * l[0]))
     for i in range(1, n - 1):
-        diag[i] = (g[i] / s[i]) * l[i] / (1.0 - math.exp(-g[i] * l[i])) - (
+        diag[i] = (g[i] / s[i]) * l[i] / (1.0 - _exp(-g[i] * l[i])) - (
             g[i] / s[i - 1]
-        ) * l[i] / (1.0 - math.exp(g[i] * l[i]))
-    diag[n - 1] = -(g[n - 1] / s[n - 2]) * l[n - 1] / (1.0 - math.exp(g[n - 1] * l[n - 1]))
+        ) * l[i] / (1.0 - _exp(g[i] * l[i]))
+    diag[n - 1] = -(g[n - 1] / s[n - 2]) * l[n - 1] / (1.0 - _exp(g[n - 1] * l[n - 1]))
 
     upper = np.array(
-        [-(g[i] / s[i]) * l[i] / (1.0 - math.exp(-g[i] * l[i + 1])) for i in range(n - 1)]
+        [-(g[i] / s[i]) * l[i] / (1.0 - _exp(-g[i] * l[i + 1])) for i in range(n - 1)]
     )
     lower = np.array(
-        [(g[i + 1] / s[i]) * l[i + 1] / (1.0 - math.exp(g[i + 1] * l[i])) for i in range(n - 1)]
+        [(g[i + 1] / s[i]) * l[i + 1] / (1.0 - _exp(g[i + 1] * l[i])) for i in range(n - 1)]
     )
     C = TridiagonalMatrix(diag, upper, lower)
-    assert (C.upper * C.lower).min() > 0.0, "capacitance band products must be positive"
+    if not (C.upper * C.lower).min() > 0.0:
+        raise FloatingPointError("capacitance band products must be positive")
     return C
 
 
@@ -165,8 +174,8 @@ def dimer_coefficients(chain: ResonatorChain) -> PerturbedDimerParams:
     s1 = float(chain.spacings[0])
     s2 = float(chain.spacings[1]) if n > 2 else s1
 
-    L1 = ell / (1.0 - math.exp(-gamma * ell))
-    L2 = ell / (1.0 - math.exp(gamma * ell))
+    L1 = ell / (1.0 - _exp(-gamma * ell))
+    L2 = ell / (1.0 - _exp(gamma * ell))
     alpha1 = (gamma / s1) * L1 - (gamma / s2) * L2
     alpha2 = (gamma / s2) * L1 - (gamma / s1) * L2
     beta1 = -(gamma / s1) * L1

@@ -179,6 +179,8 @@ def load_config(path: Path, out_dir: Path, args) -> RunConfig:
             )
         except ValueError:
             raise ConfigError("--grid needs re0,re1,im0,im1,nx,ny") from None
+        if not all(math.isfinite(v) for v in grid[:4]):
+            raise ConfigError("--grid bounds must be finite")
         if min(grid[4], grid[5]) < 16:
             raise ConfigError("--grid needs nx, ny >= 16")
 
@@ -289,13 +291,7 @@ def _solve(cfg: RunConfig) -> _Problem:
         except ValueError:
             base = None
     if base is not None:
-        ell = float(chain.lengths[0])
-        params = toeplitz2.PerturbedDimerParams(
-            alpha1=base.alpha1 / ell, alpha2=base.alpha2 / ell,
-            beta1=base.beta1 / ell, beta2=base.beta2 / ell,
-            gamma1=base.gamma1 / ell, gamma2=base.gamma2 / ell,
-            a=base.a / ell, b=base.b / ell,
-        )
+        params = base.divided(float(chain.lengths[0]))
     pairs = toeplitz2.solve_tridiagonal_eigenpairs(matrix, params=params)
     site = chain.size // 2 if cfg.mode == "interface" else None
     return _Problem(matrix, pairs, params, chain, site)
@@ -476,7 +472,8 @@ def main(argv: list[str] | None = None) -> int:
     except spectral.SamplingError as exc:
         print(f"skinspec: {exc}", file=sys.stderr)
         return _EXIT_SAMPLING
-    except (oracle.ConvergenceError, toeplitz2.NotAnEigenvalueError, np.linalg.LinAlgError) as exc:
+    except (oracle.ConvergenceError, toeplitz2.NotAnEigenvalueError, np.linalg.LinAlgError,
+            FloatingPointError) as exc:
         print(f"skinspec: numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     return _EXIT_OK

@@ -9,8 +9,8 @@ symbol here is f(z) = B_-1/z + B_0 + B_1 z with
 so f(z) = [[alpha1, beta1 + gamma2/z], [gamma1 + beta2*z, alpha2]].  The
 determinant loop and the two eigenvalue loops of f on the unit circle carry
 the winding data; epsilon-pseudospectra of the finite matrices are computed
-from sigma_min(zI - M) via inverse power iteration on the normal equations
-with lane-vectorized tridiagonal complex LU solves.
+from sigma_min(zI - M) via inverse Lanczos on (A^H A)^-1, one lane-vectorized
+complex tridiagonal LU per grid point.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .oracle import ConvergenceError
 
 __all__ = [
     "PointOnCurveError",
@@ -35,7 +37,6 @@ __all__ = [
     "eig_curves",
     "eig_curve_union",
     "winding",
-    "winding_many",
     "sigma_min",
     "sigma_min_many",
     "pseudospectrum",
@@ -107,11 +108,14 @@ def symbol(params, z: complex) -> np.ndarray:
     )
 
 
+def _off_product(params, z):
+    """Product of the symbol's off-diagonal entries, (beta1 + gamma2/z)(gamma1 + beta2 z)."""
+    return (params.beta1 + params.gamma2 / z) * (params.gamma1 + params.beta2 * z)
+
+
 def det_symbol(params, z) -> np.ndarray:
     """det f(z), vectorized over z (no unit-circle check; used along curves)."""
-    z = np.asarray(z, dtype=complex)
-    off = (params.beta1 + params.gamma2 / z) * (params.gamma1 + params.beta2 * z)
-    return params.alpha1 * params.alpha2 - off
+    return params.alpha1 * params.alpha2 - _off_product(params, np.asarray(z, dtype=complex))
 
 
 def _circle(n_samples: int, loops: int = 1) -> np.ndarray:
@@ -135,10 +139,8 @@ def det_shifted_curve(params, lam: complex, n_samples: int = 1024) -> SymbolCurv
     quantity, distinct from the winding of :func:`det_curve` around ``lam``.
     """
     thetas = _circle(n_samples)
-    z = np.exp(1j * thetas)
-    off = (params.beta1 + params.gamma2 / z) * (params.gamma1 + params.beta2 * z)
-    points = (params.alpha1 - lam) * (params.alpha2 - lam) - off
-    return SymbolCurve(thetas, points, closed=True)
+    off = _off_product(params, np.exp(1j * thetas))
+    return SymbolCurve(thetas, (params.alpha1 - lam) * (params.alpha2 - lam) - off, closed=True)
 
 
 def det_min_on_circle(params, n_samples: int = 4096) -> tuple[float, float]:
@@ -174,10 +176,8 @@ def _tracked_offsets(params, thetas: np.ndarray) -> tuple[np.ndarray, bool]:
     Returns the signed square roots and whether the two eigenvalue branches
     swap after a full loop (odd number of sign flips).
     """
-    z = np.exp(1j * thetas)
-    off = (params.beta1 + params.gamma2 / z) * (params.gamma1 + params.beta2 * z)
-    disc = 0.25 * (params.alpha1 - params.alpha2) ** 2 + off
-    sq = np.sqrt(disc)
+    off = _off_product(params, np.exp(1j * thetas))
+    sq = np.sqrt(0.25 * (params.alpha1 - params.alpha2) ** 2 + off)
     signed = np.empty_like(sq)
     signed[0] = sq[0]
     sign = 1.0
@@ -256,18 +256,15 @@ def winding(curve: SymbolCurve, point: complex) -> int:
     return int(w)
 
 
-def winding_many(curve: SymbolCurve, points: np.ndarray) -> np.ndarray:
-    """Winding numbers for many probe points (loops :func:`winding`)."""
-    return np.array([winding(curve, p) for p in np.asarray(points, dtype=complex)])
-
-
 # ---------------------------------------------------------------------------
-# sigma_min via inverse power iteration on the normal equations
+# sigma_min via inverse Lanczos on the normal equations
 # ---------------------------------------------------------------------------
 
-_SIGMA_RTOL = 1e-8
-_SIGMA_MAX_ITER = 100
-_SIGMA_BLOCK_ITER = 6
+_SIGMA_RTOL = 1e-12
+# Exact-arithmetic Lanczos spans an invariant subspace within n steps; the
+# step cap allows twice that plus this margin for rounding.
+_SIGMA_EXTRA_STEPS = 100
+_LAGUERRE_MAX_ITER = 50
 _TINY_PIVOT = 1e-300
 
 
@@ -324,17 +321,15 @@ class _LaneLU:
         if dead.any():
             d[n - 1] = np.where(dead, _TINY_PIVOT, d[n - 1])
 
-    def solve(self, b: np.ndarray, lanes: np.ndarray | None = None) -> np.ndarray:
-        """Solve A x = b lane-wise; b has shape (n, len(lanes) or L)."""
+    def keep(self, mask: np.ndarray):
+        """Drop the lanes where ``mask`` is False."""
+        for name in ("d", "du", "du2", "mult", "swap"):
+            setattr(self, name, getattr(self, name)[:, mask])
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve A x = b lane-wise; b has shape (n, lanes)."""
         n = self.n
-        if lanes is None:
-            d, du, du2, mult, swap = self.d, self.du, self.du2, self.mult, self.swap
-        else:
-            d = self.d[:, lanes]
-            du = self.du[:, lanes]
-            du2 = self.du2[:, lanes]
-            mult = self.mult[:, lanes]
-            swap = self.swap[:, lanes]
+        d, du, du2, mult, swap = self.d, self.du, self.du2, self.mult, self.swap
         y = b.copy()
         for i in range(n - 1):
             s = swap[i]
@@ -350,6 +345,21 @@ class _LaneLU:
             x[i] = (y[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
         return x
 
+    def solve_h(self, b: np.ndarray) -> np.ndarray:
+        """Solve A^H x = b lane-wise: :meth:`solve` transposed step by step, on conj(b)."""
+        n = self.n
+        d, du, du2, mult, swap = self.d, self.du, self.du2, self.mult, self.swap
+        x = np.conj(b)
+        x[0] = x[0] / d[0]
+        if n > 1:
+            x[1] = (x[1] - du[0] * x[0]) / d[1]
+        for i in range(2, n):
+            x[i] = (x[i] - du[i - 1] * x[i - 1] - du2[i - 2] * x[i - 2]) / d[i]
+        for i in range(n - 2, -1, -1):
+            xi = x[i] - mult[i] * x[i + 1]
+            x[i], x[i + 1] = np.where(swap[i], x[i + 1], xi), np.where(swap[i], xi, x[i + 1])
+        return np.conj(x, out=x)
+
 
 def _shifted_bands(M, zs: np.ndarray):
     """Bands of A = zI - M for every lane."""
@@ -360,124 +370,101 @@ def _shifted_bands(M, zs: np.ndarray):
     return dl, d, du
 
 
+def _largest_ritz(alpha: np.ndarray, beta: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each lane's symmetric tridiagonal (alpha, beta).
+
+    Laguerre's method on p(x) = det(xI - T) from ``upper``, a bound above
+    every eigenvalue, from where it decreases monotonically to the largest
+    root.  p'/p and -(p'/p)' are summed over the LDL^T pivots q of xI - T,
+    tracking r = q'/q and t = q''/q; T is scaled by ``upper``.
+    """
+    m = alpha.shape[0]
+    alpha, beta2 = alpha / upper, (beta / upper) ** 2
+    x = np.ones_like(upper)
+    done = np.zeros(x.shape, dtype=bool)
+    for _ in range(_LAGUERRE_MAX_ITER):
+        q = x - alpha[0]
+        r, t = 1.0 / q, 0.0
+        g, h = r, r * r
+        for i in range(1, m):
+            c = beta2[i - 1] / q
+            q = x - alpha[i] - c
+            r, t = (1.0 + c * r) / q, c * (t - 2.0 * r * r) / q
+            g += r
+            h += r * r - t
+        step = m / (g + np.copysign(np.sqrt(np.maximum((m - 1) * (m * h - g * g), 0.0)), g))
+        step = np.where(done | ~np.isfinite(step), 0.0, step)
+        x -= step
+        done |= np.abs(step) <= 4.0 * np.finfo(float).eps * x
+        if done.all():
+            break
+    return x * upper
+
+
 def sigma_min_many(M, zs: np.ndarray) -> np.ndarray:
     """Smallest singular value of (zI - M) for every z in ``zs``.
 
-    Inverse power iteration on (A^H A)^-1 with LU solves of A and A^H per
-    lane; the returned value is the direct upper bound ||A v||_2 at the
-    converged vector, which is exact for singular shifts (up to rounding).
+    Inverse Lanczos: a three-term Lanczos recurrence on (A^H A)^-1 per lane,
+    A = (zI - M)/s with s the power of two at or above max(1, |z|, max|M|);
+    sigma = s/sqrt(theta) for the largest Ritz value theta.  A lane retires
+    once theta moves by at most 1e-12 relative between two Ritz evaluations
+    or its Krylov space is invariant; lanes whose solves overflow are
+    singular to working precision and return 0.  Raises
+    :class:`~skinspec.oracle.ConvergenceError` for a lane still moving at the
+    step cap, ``ValueError`` for a non-finite z.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    n = M.order
-    if n == 1:
-        return np.abs(zs - M.diag[0])
-    L = len(zs)
-    dl, d, du = _shifted_bands(M, zs)
-    lu = _LaneLU(dl, d, du)
+    if not np.isfinite(zs).all():
+        raise ValueError("sigma_min needs finite shifts z")
+    n, L = M.order, len(zs)
+    m_max = max(np.abs(band).max(initial=0.0) for band in (M.diag, M.upper, M.lower))
+    # Dividing by a power of two is exact: a singular shift keeps its zero pivot.
+    scale = np.ldexp(1.0, np.frexp(np.maximum(np.abs(zs), max(1.0, m_max)))[1])
+    dl, d, du = (band / scale for band in _shifted_bands(M, zs))
+    # A^-1 is applied as the adjoint of the A^H solve: separate LUs of A and A^H
+    # disagree by O(1) near an eigenvalue, where the recurrence then never settles.
     lu_h = _LaneLU(np.conj(du), np.conj(d), np.conj(dl))
 
-    v_all = np.ones((n, L), dtype=complex)
-    v_all += 1e-3 * (np.arange(n, dtype=float)[:, None] / n)
-    v_all /= np.linalg.norm(v_all, axis=0)
-
-    sigma = np.full(L, np.inf)
-    singular = np.zeros(L, dtype=bool)
+    # One fixed pseudo-random start vector: results do not depend on batching.
+    start = np.random.default_rng(0).standard_normal((n, 2)) @ np.array([1.0, 1.0j])
+    q = np.repeat((start / np.linalg.norm(start))[:, None], L, axis=1)
+    q_prev = np.zeros_like(q)
+    alpha = np.empty((0, L))
+    beta = np.zeros((1, L))  # beta[k + 1] couples Lanczos vectors k and k + 1
+    theta = np.zeros(L)
+    bound = np.zeros(L)
+    out_theta = np.full(L, np.inf)
     active = np.arange(L)
-    v = v_all
-    for _ in range(_SIGMA_MAX_ITER):
-        lanes = None if len(active) == L else active
-        w = lu_h.solve(v, lanes)
-        x = lu.solve(w, lanes)
-        norm = np.linalg.norm(x, axis=0)
-        bad = ~np.isfinite(norm) | (norm == 0.0)
-        singular[active[bad]] = True
-        norm = np.where(bad, 1.0, norm)
-        x = np.where(bad[None, :], v, x / norm)
-        v_all[:, active] = x
-        new_sigma = 1.0 / np.sqrt(norm)
-        done = (
-            np.abs(new_sigma - sigma[active])
-            <= _SIGMA_RTOL * np.maximum(new_sigma, 1e-300)
-        )
-        sigma[active] = new_sigma
-        keep = ~(done | bad)
-        active = active[keep]
-        if len(active) == 0:
-            break
-        v = x[:, keep]
-
-    def apply_a(u):
-        au = (zs[None, :] - np.asarray(M.diag, dtype=complex)[:, None]) * u
-        au[:-1] -= np.asarray(M.upper, dtype=complex)[:, None] * u[1:]
-        au[1:] -= np.asarray(M.lower, dtype=complex)[:, None] * u[:-1]
-        return au
-
-    def ritz_pair(q1, q2):
-        # sigma_min of A restricted to span{q1, q2} (orthonormal columns):
-        # QR of [A q1, A q2] followed by a batched 2x2 SVD.  The projection
-        # is applied twice; a single pass loses orthogonality exactly when
-        # the columns are nearly parallel, which biases the Ritz value low.
-        b1 = apply_a(q1)
-        b2 = apply_a(q2)
-        r11 = np.linalg.norm(b1, axis=0)
-        e1 = b1 / np.where(r11 > 0, r11, 1.0)[None, :]
-        r12 = np.sum(np.conj(e1) * b2, axis=0)
-        w = b2 - e1 * r12[None, :]
-        corr = np.sum(np.conj(e1) * w, axis=0)
-        w = w - e1 * corr[None, :]
-        r12 = r12 + corr
-        rmat = np.zeros((len(zs), 2, 2), dtype=complex)
-        rmat[:, 0, 0] = r11
-        rmat[:, 0, 1] = r12
-        rmat[:, 1, 1] = np.linalg.norm(w, axis=0)
-        # A singular LU leaves non-finite columns; such lanes get no Ritz
-        # estimate and are decided by the singular flag and the direct bound.
-        est = np.full(len(zs), np.inf)
-        finite = np.isfinite(rmat).all(axis=(1, 2))
-        est[finite] = np.linalg.svd(rmat[finite], compute_uv=False)[:, -1]
-        return est
-
-    def orthonormalize(q1, q2):
-        n1 = np.linalg.norm(q1, axis=0)
-        q1 = q1 / np.where(n1 > 0, n1, 1.0)[None, :]
-        for _ in range(2):
-            q2 = q2 - q1 * np.sum(np.conj(q1) * q2, axis=0)[None, :]
-        n2 = np.linalg.norm(q2, axis=0)
-        fresh = ~np.isfinite(n2) | (n2 < 1e-290)
-        if fresh.any():
-            # Deflated to noise: reseed from a fixed deterministic direction.
-            alt = np.zeros_like(q2)
-            alt[n // 2] = 1.0
-            q2 = np.where(fresh[None, :], alt, q2)
-            for _ in range(2):
-                q2 = q2 - q1 * np.sum(np.conj(q1) * q2, axis=0)[None, :]
-            n2 = np.linalg.norm(q2, axis=0)
-        q2 = q2 / np.where(n2 > 0, n2, 1.0)[None, :]
-        # One more pass after normalization: cancellation-built q2 vectors
-        # otherwise keep an orthogonality defect of eps over the deflated
-        # norm, which is what limits the Ritz accuracy.
-        q2 = q2 - q1 * np.sum(np.conj(q1) * q2, axis=0)[None, :]
-        n2 = np.linalg.norm(q2, axis=0)
-        return q1, q2 / np.where(n2 > 0, n2, 1.0)[None, :]
-
-    # Direct upper bound ||A v||_2 at the converged vector.
-    v = v_all
-    direct = np.linalg.norm(apply_a(v), axis=0)
-
-    # Short block-2 inverse-power phase with a Rayleigh-Ritz estimate:
-    # removes the first-order bias that a single vector stalled inside a
-    # cluster of nearly equal smallest singular values leaves behind.
-    best = direct.copy()
     with np.errstate(all="ignore"):
-        q1, q2 = orthonormalize(v, lu.solve(lu_h.solve(v)))
-        for _ in range(_SIGMA_BLOCK_ITER):
-            est = ritz_pair(q1, q2)
-            np.fmin(best, est, out=best, where=np.isfinite(est))
-            q1, q2 = orthonormalize(lu.solve(lu_h.solve(q1)), lu.solve(lu_h.solve(q2)))
-        est = ritz_pair(q1, q2)
-        np.fmin(best, est, out=best, where=np.isfinite(est))
-    out = np.where(singular, 0.0, np.minimum(best, sigma))
-    return out
+        for j in range(2 * n + _SIGMA_EXTRA_STEPS):
+            y = lu_h.solve(q)
+            a = np.sum((y * np.conj(y)).real, axis=0)
+            w = lu_h.solve_h(y) - a * q - beta[-1] * q_prev
+            b = np.linalg.norm(w, axis=0)
+            alpha = np.vstack((alpha, a))
+            # Bordering the tridiagonal with (beta[-1], a) lifts a bound on its
+            # top eigenvalue at most to the top of [[bound, beta[-1]], [beta[-1], a]].
+            bound = 0.5 * (bound + a) + np.hypot(0.5 * (bound - a), beta[-1])
+            beta = np.vstack((beta, b))
+            if j % max(1, j // 16) and b.all():
+                # A Ritz value costs O(j): past step 32, take one every j // 16 steps.
+                q_prev, q = q, w / b
+                continue
+            new = _largest_ritz(alpha, beta[1:-1], bound)
+            singular = ~np.isfinite(new) | ~np.isfinite(b)
+            done = singular | (b <= _SIGMA_RTOL * new)
+            done |= np.abs(new - theta) <= _SIGMA_RTOL * new
+            out_theta[active[done]] = np.where(singular, np.inf, new)[done]
+            keep = ~done
+            active = active[keep]
+            if len(active) == 0:
+                break
+            lu_h.keep(keep)
+            q_prev, q = q[:, keep], w[:, keep] / b[keep]
+            alpha, beta, theta, bound = alpha[:, keep], beta[:, keep], new[keep], new[keep]
+        else:
+            raise ConvergenceError(f"sigma_min: {len(active)}/{L} lanes unconverged at step cap")
+        return scale / np.sqrt(out_theta)
 
 
 def sigma_min(M, z: complex) -> float:

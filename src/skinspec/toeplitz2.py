@@ -15,7 +15,7 @@ quantify the skin effect and interface modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -113,6 +113,10 @@ class PerturbedDimerParams:
             a=self.b,
             b=self.a,
         )
+
+    def divided(self, divisor: float) -> "PerturbedDimerParams":
+        """Every coefficient divided by ``divisor`` (bands and corners)."""
+        return PerturbedDimerParams(*(getattr(self, f.name) / divisor for f in fields(self)))
 
     def mirror_params(self, n: int) -> "PerturbedDimerParams":
         """Parameters p' with build_perturbed(p', n) == build_perturbed(self, n).mirrored().

@@ -73,6 +73,14 @@ def test_dimer_consistency_entrywise():
         assert np.max(np.abs(C.lower - B.lower)) <= 1e-14 * scale
 
 
+def test_strong_gauge_overflow_raises():
+    chain = ResonatorChain.dimer(6, gamma=800.0)
+    with pytest.raises(FloatingPointError):
+        gauge_capacitance(chain)
+    with pytest.raises(FloatingPointError):
+        dimer_coefficients(chain)
+
+
 def test_dimer_coefficients_rejects_non_dimer():
     chain = ResonatorChain([1.0, 2.0, 1.0], [1.0, 2.0], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):

@@ -94,6 +94,23 @@ def test_topology_small_grid_exit2(tmp_path):
     assert code == 2
 
 
+def test_topology_non_finite_grid_exit2(tmp_path):
+    cfg = write_config(tmp_path, "dimer.json", DIMER)
+    for grid in ("nan,1,-1,1,16,16", "-1,inf,-1,1,16,16"):
+        out = tmp_path / "o"
+        code = main(["topology", "--config", str(cfg), "--out", str(out), f"--grid={grid}"])
+        assert code == 2
+        assert not (out / "pseudospectrum.csv").exists()
+
+
+def test_strong_gauge_chain_exit3(tmp_path, capsys):
+    # exp(gamma * ell) overflows double precision: a clean numerical failure.
+    cfg = write_config(tmp_path, "strong.json", dict(DIMER, N=10, gamma=800.0))
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("skinspec: numerical failure:") and err.count("\n") == 1
+
+
 def test_modes_matrix_residuals(tmp_path):
     cfg = write_config(tmp_path, "fig1.json", dict(FIG1, n=41))
     out = tmp_path / "out"

@@ -6,6 +6,7 @@ import pytest
 import skinspec as sk
 from skinspec.spectral import (
     PointOnCurveError,
+    _LaneLU,
     SamplingError,
     SymbolCurve,
     det_curve,
@@ -130,6 +131,12 @@ def test_sigma_min_zero_matrix():
     assert sigma_min(M, 2.0) == pytest.approx(2.0, rel=1e-9)
 
 
+def test_sigma_min_order_one():
+    M = TridiagonalMatrix(np.array([0.7]), np.zeros(0), np.zeros(0))
+    zs = np.array([3.0 + 4.0j, 0.7 + 1e-9j, -1e200, 0.7])
+    assert sigma_min_many(M, zs) == pytest.approx(np.abs(zs - 0.7), rel=1e-12)
+
+
 def test_sigma_min_at_eigenvalue(cap_params, dimer_chain_50):
     M = sk.gauge_capacitance(dimer_chain_50)
     lam = eigen_all(cap_params, 50)[10].lam
@@ -147,13 +154,68 @@ def test_sigma_min_exact_kernel_eigenvalue(dimer_chain_50):
     assert batch[1] == pytest.approx(sigma_min(M, 0.5 + 0.1j), rel=1e-9)
 
 
-def test_sigma_min_matches_dense_svd():
-    rng = np.random.default_rng(7)
-    T = TridiagonalMatrix(rng.normal(size=8), rng.normal(size=7), rng.normal(size=7))
-    dense = T.to_dense()
-    for z in rng.normal(size=(5, 2)) @ np.array([1.0, 1.0j]):
-        ref = np.linalg.svd(z * np.eye(8) - dense, compute_uv=False)[-1]
-        assert sigma_min(T, z) == pytest.approx(ref, rel=1e-6)
+def _criterion7_subgrid(chain):
+    """Every 8th point of the criterion-7 200x200 window plus the blocks near
+    3.85 +- 0.38i, where a single-vector iteration stalls high."""
+    M = sk.gauge_capacitance(chain)
+    lams = np.array([q.lam for q in eigen_all(sk.dimer_coefficients(chain), chain.size)])
+    lo, hi = lams.min(), lams.max()
+    pad = 0.25 * (hi - lo)
+    re = np.linspace(lo - pad, hi + pad, 200)
+    im = np.linspace(-pad, pad, 200)
+    rows = np.unique(np.r_[0:200:8, 46:54, 146:154])
+    cols = np.unique(np.r_[0:200:8, 192:200])
+    return M, (re[cols][None, :] + 1j * im[rows][:, None]).ravel()
+
+
+@pytest.mark.parametrize("case", ["random8", "criterion7_subgrid"])
+def test_sigma_min_matches_dense_svd(case, dimer_chain_50):
+    if case == "random8":
+        rng = np.random.default_rng(7)
+        M = TridiagonalMatrix(rng.normal(size=8), rng.normal(size=7), rng.normal(size=7))
+        zs = rng.normal(size=(5, 2)) @ np.array([1.0, 1.0j])
+    else:
+        M, zs = _criterion7_subgrid(dimer_chain_50)
+        assert np.min(np.abs(zs - (3.85 + 0.38j))) < 0.01
+        assert np.min(np.abs(zs - (3.85 - 0.38j))) < 0.01
+    shifted = zs[:, None, None] * np.eye(M.order) - M.to_dense()[None, :, :]
+    ref = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+    assert sigma_min_many(M, zs) == pytest.approx(ref, rel=1e-6)
+
+
+def test_lane_lu_adjoint_solve():
+    # solve_h must solve A^H x = b with the factors of A, row swaps included.
+    rng = np.random.default_rng(3)
+    n, lanes = 9, 4
+    bands = [rng.normal(size=(k, lanes)) + 1j * rng.normal(size=(k, lanes))
+             for k in (n - 1, n, n - 1)]
+    lu = _LaneLU(*bands)
+    assert lu.swap.any() and not lu.swap.all()
+    b = rng.normal(size=(n, lanes)) + 1j * rng.normal(size=(n, lanes))
+    x = lu.solve_h(b)
+    for k in range(lanes):
+        dl, d, du = (band[:, k] for band in bands)
+        A = np.diag(d) + np.diag(du, 1) + np.diag(dl, -1)
+        assert np.allclose(A.conj().T @ x[:, k], b[:, k], rtol=0, atol=1e-12 * np.abs(b).max())
+    lu.keep(np.array([False, True, True, False]))
+    assert np.array_equal(lu.solve_h(b[:, 1:3]), x[:, 1:3])
+
+
+def test_sigma_min_far_shift(dimer_chain_50):
+    # |z| far beyond max|M|: the shifted matrix is scaled before the solves.
+    M = sk.gauge_capacitance(dimer_chain_50)
+    for z in (1e200, -3e150 + 1e150j, 1e12j):
+        ref = np.linalg.svd(z * np.eye(M.order) - M.to_dense(), compute_uv=False)[-1]
+        assert sigma_min(M, z) == pytest.approx(ref, rel=1e-6)
+
+
+def test_sigma_min_rejects_non_finite_shift(dimer_chain_50):
+    M = sk.gauge_capacitance(dimer_chain_50)
+    for z in (complex("nan"), complex("inf"), complex(0.5, float("nan"))):
+        with pytest.raises(ValueError):
+            sigma_min(M, z)
+    with pytest.raises(ValueError):
+        sigma_min_many(M, np.array([0.5 + 0.1j, complex("nan")]))
 
 
 def test_sigma_min_conjugation_symmetry(dimer_chain_50):
