@@ -35,10 +35,13 @@ __all__ = [
 _KERNEL_RTOL = 1e-10
 
 
-def _exp(x: float) -> float:
-    """math.exp, reporting overflow (|gamma*ell| beyond ~709) as FloatingPointError."""
+def _expm1(x: float) -> float:
+    """math.expm1, reporting overflow (|gamma*ell| beyond ~709) as FloatingPointError.
+
+    1 - exp(x) is written -expm1(x): it rounds to 0 for |x| below ~1e-16.
+    """
     try:
-        return math.exp(x)
+        return math.expm1(x)
     except OverflowError:
         raise FloatingPointError(f"exp({x:g}) overflows: gauge potential too strong") from None
 
@@ -118,18 +121,18 @@ def gauge_capacitance(chain: ResonatorChain) -> TridiagonalMatrix:
     n = chain.size
 
     diag = np.empty(n)
-    diag[0] = (g[0] / s[0]) * l[0] / (1.0 - _exp(-g[0] * l[0]))
+    diag[0] = (g[0] / s[0]) * l[0] / -_expm1(-g[0] * l[0])
     for i in range(1, n - 1):
-        diag[i] = (g[i] / s[i]) * l[i] / (1.0 - _exp(-g[i] * l[i])) - (
+        diag[i] = (g[i] / s[i]) * l[i] / -_expm1(-g[i] * l[i]) - (
             g[i] / s[i - 1]
-        ) * l[i] / (1.0 - _exp(g[i] * l[i]))
-    diag[n - 1] = -(g[n - 1] / s[n - 2]) * l[n - 1] / (1.0 - _exp(g[n - 1] * l[n - 1]))
+        ) * l[i] / -_expm1(g[i] * l[i])
+    diag[n - 1] = -(g[n - 1] / s[n - 2]) * l[n - 1] / -_expm1(g[n - 1] * l[n - 1])
 
     upper = np.array(
-        [-(g[i] / s[i]) * l[i] / (1.0 - _exp(-g[i] * l[i + 1])) for i in range(n - 1)]
+        [-(g[i] / s[i]) * l[i] / -_expm1(-g[i] * l[i + 1]) for i in range(n - 1)]
     )
     lower = np.array(
-        [(g[i + 1] / s[i]) * l[i + 1] / (1.0 - _exp(g[i + 1] * l[i])) for i in range(n - 1)]
+        [(g[i + 1] / s[i]) * l[i + 1] / -_expm1(g[i + 1] * l[i]) for i in range(n - 1)]
     )
     C = TridiagonalMatrix(diag, upper, lower)
     if not (C.upper * C.lower).min() > 0.0:
@@ -174,8 +177,8 @@ def dimer_coefficients(chain: ResonatorChain) -> PerturbedDimerParams:
     s1 = float(chain.spacings[0])
     s2 = float(chain.spacings[1]) if n > 2 else s1
 
-    L1 = ell / (1.0 - _exp(-gamma * ell))
-    L2 = ell / (1.0 - _exp(gamma * ell))
+    L1 = ell / -_expm1(-gamma * ell)
+    L2 = ell / -_expm1(gamma * ell)
     alpha1 = (gamma / s1) * L1 - (gamma / s2) * L2
     alpha2 = (gamma / s2) * L1 - (gamma / s1) * L2
     beta1 = -(gamma / s1) * L1

@@ -21,7 +21,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -270,29 +270,20 @@ class _Problem:
 
 
 def _solve(cfg: RunConfig) -> _Problem:
+    chain, params = cfg.chain, cfg.params
     if cfg.mode == "matrix":
-        matrix = toeplitz2.build_perturbed(cfg.params, cfg.n)
-        pairs = toeplitz2.eigen_all(cfg.params, cfg.n)
-        return _Problem(matrix, pairs, cfg.params, None, None)
-
-    chain = cfg.chain
-    matrix = capacitance.generalized_matrix(chain)
-    params = None
-    if cfg.mode == "interface":
-        # Classify against the +gamma half's dimer coefficients.
-        half = capacitance.ResonatorChain(
-            chain.lengths, chain.spacings, np.abs(chain.gammas),
-            chain.delta, chain.v, chain.v_b,
-        )
-        base = capacitance.dimer_coefficients(half)
+        matrix = toeplitz2.build_perturbed(params, cfg.n)
     else:
+        matrix = capacitance.generalized_matrix(chain)
+        # Interface runs classify against the +gamma half's dimer coefficients.
+        half = replace(chain, gammas=np.abs(chain.gammas)) if cfg.mode == "interface" else chain
         try:
-            base = capacitance.dimer_coefficients(chain)
+            base = capacitance.dimer_coefficients(half)
         except ValueError:
-            base = None
-    if base is not None:
-        params = base.divided(float(chain.lengths[0]))
-    pairs = toeplitz2.solve_tridiagonal_eigenpairs(matrix, params=params)
+            pass  # not a dimer chain: pairs stay unclassified
+        else:
+            params = base.divided(float(chain.lengths[0]))
+    pairs = toeplitz2.solve_tridiagonal_eigenpairs(matrix, params)
     site = chain.size // 2 if cfg.mode == "interface" else None
     return _Problem(matrix, pairs, params, chain, site)
 

@@ -7,6 +7,12 @@ entry) and ``b`` (last).  Under the standing assumption
 in closed form by interleaving the two hat sequences of :mod:`.polycore`,
 scaled by powers of the skin rate ``s = sqrt(gamma1*gamma2/(beta1*beta2))``.
 
+:func:`solve_tridiagonal_eigenpairs` is the one eigenpair pipeline, for any
+symmetrizable tridiagonal matrix: certified LAPACK eigenvalues, closed-form
+vectors whenever the given parameters reproduce the matrix (abstract perturbed
+dimer matrices and dimer resonator chains alike), inverse iteration otherwise.
+:func:`eigen_all` is that pipeline on ``build_perturbed(params, n)``.
+
 The module also builds the mirrored interface matrix (two half-chains glued
 by a gamma2 coupling) and provides the decay / localization reports that
 quantify the skin effect and interface modes.
@@ -21,7 +27,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import oracle
-from .polycore import HatSequences, RecurrenceSpec, hat_sequences, y_map
+from .polycore import HatSequences, RecurrenceSpec, cheb_eval, hat_sequences, y_map
 
 __all__ = [
     "NotAnEigenvalueError",
@@ -46,6 +52,10 @@ __all__ = [
 # (e.g. lambda = 0 of capacitance matrices sits at |y| ~ 1 up to rounding)
 # deterministically classified.
 _BULK_TOL = 1e-10
+# Relative width of the certified eigenvalue brackets.
+_EIG_TOL = 1e-14
+# Band distance (relative to each band's size) still counted as rounding.
+_BAND_RTOL = 1e-12
 _RESIDUAL_RTOL = 1e-9
 _CLUSTER_RTOL = 1e-8
 # Eigenvalues per closed-form batch: bounds the (lanes x n) temporaries.
@@ -244,14 +254,6 @@ def build_interface(params: PerturbedDimerParams, m: int, a: float, b: float) ->
     return TridiagonalMatrix(diag, upper, lower)
 
 
-def _u_triple(y: float, m: int) -> tuple[float, float, float]:
-    """(U_m(y), U_{m-1}(y), U_{m-2}(y)) with U_{-1} = 0, U_{-2} = -1."""
-    um2, um1, um = -1.0, 0.0, 1.0
-    for _ in range(m):
-        um2, um1, um = um1, um, 2.0 * y * um - um1
-    return um, um1, um2
-
-
 def char_poly(params: PerturbedDimerParams, n: int, x: float) -> float:
     """det(xI - A_n^(a,b)) through the scaled Chebyshev representation.
 
@@ -264,7 +266,7 @@ def char_poly(params: PerturbedDimerParams, n: int, x: float) -> float:
     m = n // 2
     y = y_map(params, x)
     w = math.sqrt(params.c1 * params.c2)
-    um, um1, um2 = _u_triple(y, m)
+    um, um1 = cheb_eval("second", m, y), cheb_eval("second", m - 1, y)
     a, b = params.a, params.b
     c1, c2 = params.c1, params.c2
     if n % 2:
@@ -275,7 +277,7 @@ def char_poly(params: PerturbedDimerParams, n: int, x: float) -> float:
         a * (params.alpha2 - x) + b * (params.alpha1 - x) + a * b + c2
     ) * w ** (m - 1) * um1
     if m >= 2:
-        value += a * b * c1 * w ** (m - 2) * um2
+        value += a * b * c1 * w ** (m - 2) * cheb_eval("second", m - 2, y)
     return value
 
 
@@ -423,44 +425,44 @@ def _classify(params: PerturbedDimerParams | None, lam: float):
     return mu, None, "exceptional"
 
 
-def eigen_all(
-    params: PerturbedDimerParams, n: int, tol: float = 1e-14
-) -> list[Eigenpair]:
-    """All eigenpairs of the order-n perturbed dimer matrix, sorted by eigenvalue.
+def eigen_all(params: PerturbedDimerParams, n: int) -> list[Eigenpair]:
+    """:func:`solve_tridiagonal_eigenpairs` on ``build_perturbed(params, n)``."""
+    return solve_tridiagonal_eigenpairs(build_perturbed(params, n), params)
 
-    Eigenvalues are LAPACK (dsterf) estimates on the symmetrized matrix, each
-    certified by Sturm counts in a bracket of width tol*max(1,|lam|) and
-    bisected where that fails.  Eigenvectors come from the closed-form
-    assembly, run on fixed-size batches of eigenvalues at once, falling back to
-    inverse iteration (reorthogonalized inside numerically coincident
-    clusters) when the formula degenerates.
-    """
-    T = build_perturbed(params, n)
-    S = oracle.symmetrize(T)
-    guess = eigh_tridiagonal(S.diag, S.offdiag, eigvals_only=True, lapack_driver="sterf")
-    lams = oracle.sturm_eigenvalues(S, tol, guess=guess)
-    blocks = [
-        _closed_form(params, T, lams[i : i + _LANE_BLOCK]) for i in range(0, n, _LANE_BLOCK)
-    ]
-    vectors = [v for vecs, _ in blocks for v in vecs]
-    residuals = np.concatenate([res for _, res in blocks])
-    return _pair_up(T, lams, params, vectors, residuals)
+
+def _describes(params: PerturbedDimerParams, T: TridiagonalMatrix) -> bool:
+    """True when ``build_perturbed(params, T.order)`` has T's bands up to rounding."""
+    B = build_perturbed(params, T.order)
+    return all(
+        np.max(np.abs(t - b)) <= _BAND_RTOL * np.max(np.abs(b))
+        for t, b in ((T.diag, B.diag), (T.upper, B.upper), (T.lower, B.lower))
+    )
 
 
 def solve_tridiagonal_eigenpairs(
-    T: TridiagonalMatrix,
-    params: PerturbedDimerParams | None = None,
-    tol: float = 1e-14,
+    T: TridiagonalMatrix, params: PerturbedDimerParams | None = None
 ) -> list[Eigenpair]:
-    """Eigenpairs of an arbitrary symmetrizable tridiagonal matrix.
+    """All eigenpairs of a symmetrizable tridiagonal matrix, sorted by eigenvalue.
 
-    Used for matrices that are not a plain perturbed dimer pattern (interface
-    matrices, generalized capacitance problems).  Vectors come from inverse
-    iteration; ``params``, when given, supplies the bulk/exceptional
-    classification through its y-map.
+    Eigenvalues are LAPACK (dsterf) estimates on the symmetrized matrix, each
+    certified by Sturm counts in a bracket of width 1e-14*max(1,|lam|) and
+    bisected where that fails.  ``params``, when given, classifies each pair
+    as bulk or exceptional through its y-map.  When it also reproduces T's
+    bands up to rounding (a perturbed dimer matrix, e.g. a dimer chain's
+    generalized capacitance matrix), eigenvectors come from the closed form,
+    assembled for fixed-size batches of eigenvalues at once.  Otherwise
+    (interface matrices, chains without dimer structure), and wherever the
+    formula degenerates, they come from inverse iteration, reorthogonalized
+    inside numerically coincident clusters.
     """
-    lams = oracle.sturm_eigenvalues(oracle.symmetrize(T), tol)
-    return _pair_up(T, lams, params)
+    S = oracle.symmetrize(T)
+    guess = eigh_tridiagonal(S.diag, S.offdiag, eigvals_only=True, lapack_driver="sterf")
+    lams = oracle.sturm_eigenvalues(S, _EIG_TOL, guess=guess)
+    if params is None or not _describes(params, T):
+        return _pair_up(T, lams, params)
+    starts = range(0, T.order, _LANE_BLOCK)
+    vecs, res = zip(*(_closed_form(params, T, lams[i : i + _LANE_BLOCK]) for i in starts))
+    return _pair_up(T, lams, params, np.concatenate(vecs), np.concatenate(res))
 
 
 def _pair_up(T, lams, params, exact=None, exact_res=None):

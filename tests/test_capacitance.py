@@ -13,7 +13,15 @@ from skinspec.capacitance import (
     mode_profile,
     subwavelength_frequencies,
 )
-from skinspec.toeplitz2 import build_interface, build_perturbed, decay_report, eigen_all
+from skinspec.oracle import sturm_eigenvalues, symmetrize
+from skinspec.polycore import y_map
+from skinspec.toeplitz2 import (
+    build_interface,
+    build_perturbed,
+    decay_report,
+    eigen_all,
+    solve_tridiagonal_eigenpairs,
+)
 
 from conftest import random_equal_length_chain
 
@@ -135,6 +143,38 @@ def test_interface_capacitance_matches_block_construction():
         assert np.max(np.abs(C.diag - B.diag)) <= 1e-14 * scale
         assert np.max(np.abs(C.upper - B.upper)) <= 1e-14 * scale
         assert np.max(np.abs(C.lower - B.lower)) <= 1e-14 * scale
+
+
+def test_tiny_gauge_potential_matches_limit():
+    # 1 - exp(-gamma*ell) rounds to 0 at gamma = 1e-17; the gamma -> 0 limit
+    # is the symmetric gap-conductance matrix.
+    chain = ResonatorChain.dimer(20, gamma=1e-17)
+    inv = 1.0 / chain.spacings
+    diag = np.concatenate([[0.0], inv]) + np.concatenate([inv, [0.0]])
+    for C in (gauge_capacitance(chain), build_perturbed(dimer_coefficients(chain), 20)):
+        assert C.diag == pytest.approx(diag, rel=1e-12)
+        assert C.upper == pytest.approx(-inv, rel=1e-12)
+        assert C.lower == pytest.approx(-inv, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, ell, gamma",
+    [(50, 1.0, 1.0), (51, 0.7, -2.0), (64, 1.3, 3.0), (33, 2.0, 4.0), (130, 1.0, 8.0),
+     (41, 0.5, -6.0)],
+)
+def test_dimer_chain_eigenpairs_match_oracle(n, ell, gamma):
+    chain = ResonatorChain.dimer(n, ell=ell, s1=0.9, s2=2.1, gamma=gamma)
+    G = generalized_matrix(chain)
+    params = dimer_coefficients(chain).divided(ell)
+    pairs = solve_tridiagonal_eigenpairs(G, params)
+    ref = sturm_eigenvalues(symmetrize(G))
+    assert len(pairs) == n
+    for q, lam in zip(pairs, ref):
+        scale = max(1.0, abs(lam))
+        assert abs(q.lam - lam) <= 1e-14 * scale
+        assert q.residual <= 1e-9 * scale
+        assert q.method == "exact"
+        assert q.klass == ("bulk" if abs(y_map(params, lam)) <= 1.0 + 1e-10 else "exceptional")
 
 
 def test_subwavelength_frequencies_kernel_and_order(dimer_chain_50):

@@ -111,6 +111,26 @@ def test_strong_gauge_chain_exit3(tmp_path, capsys):
     assert err.startswith("skinspec: numerical failure:") and err.count("\n") == 1
 
 
+def test_tiny_gauge_chain_exit0(tmp_path):
+    cfg = write_config(tmp_path, "tiny.json", dict(DIMER, N=20, gamma=1e-17))
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_modes_eigenvector_methods(tmp_path):
+    # A dimer chain's matrix is a perturbed dimer matrix: closed form for
+    # every pair.  An interface matrix is not, so it uses inverse iteration.
+    for name, config, method in (
+        ("dimer.json", DIMER, "exact"),
+        ("interface.json", INTERFACE, "inverse_iteration"),
+    ):
+        out = tmp_path / method
+        assert main(["modes", "--config", str(write_config(tmp_path, name, config)),
+                     "--out", str(out)]) == 0
+        reports = json.loads((out / "decay_reports.json").read_text())
+        assert len(reports) == config["N"]
+        assert {r["method"] for r in reports} == {method}
+
+
 def test_modes_matrix_residuals(tmp_path):
     cfg = write_config(tmp_path, "fig1.json", dict(FIG1, n=41))
     out = tmp_path / "out"
