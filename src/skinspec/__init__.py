@@ -16,6 +16,7 @@ from .capacitance import (
     interface_chain,
     mode_profile,
     subwavelength_frequencies,
+    subwavelength_omegas,
 )
 from .oracle import (
     ConvergenceError,
@@ -60,6 +61,7 @@ from .toeplitz2 import (
     bracket_report,
     build_interface,
     build_perturbed,
+    certified_eigenvalues,
     char_poly,
     decay_report,
     eigen_all,

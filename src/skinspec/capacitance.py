@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .toeplitz2 import PerturbedDimerParams, TridiagonalMatrix
+from .toeplitz2 import PerturbedDimerParams, TridiagonalMatrix, certified_eigenvalues
 
 __all__ = [
     "ResonatorChain",
@@ -26,6 +26,7 @@ __all__ = [
     "dimer_coefficients",
     "interface_chain",
     "subwavelength_frequencies",
+    "subwavelength_omegas",
     "generalized_matrix",
     "mode_profile",
 ]
@@ -246,24 +247,29 @@ class SubwavelengthSpectrum:
     negative_lambdas: np.ndarray
 
 
+def subwavelength_omegas(chain: ResonatorChain, lams) -> tuple[np.ndarray, np.ndarray]:
+    """(lambdas, omegas): omega = v_b * sqrt(delta * lambda), NaN where lambda < 0.
+
+    ``lams`` are generalized capacitance eigenvalues; the kernel eigenvalue
+    (|lambda| within 1e-10 of the spectral scale) is clamped to exactly 0.
+    """
+    lams = np.asarray(lams, dtype=float)
+    lams = np.where(np.abs(lams) <= _KERNEL_RTOL * max(1.0, np.max(np.abs(lams))), 0.0, lams)
+    return lams, chain.v_b * np.sqrt(chain.delta * np.where(lams >= 0.0, lams, np.nan))
+
+
 def subwavelength_frequencies(chain: ResonatorChain) -> SubwavelengthSpectrum:
     """omega_i = v_b * sqrt(delta * lambda_i), ascending, for lambda_i >= 0.
 
-    Eigenvalues come from the generalized problem C a = lambda V a.  The
-    kernel eigenvalue is clamped to exactly 0; genuinely negative lambdas
-    (imaginary omega) are reported separately rather than dropped.
+    Eigenvalues of the generalized problem C a = lambda V a come from
+    :func:`.toeplitz2.certified_eigenvalues`.  The kernel eigenvalue is
+    clamped to exactly 0; genuinely negative lambdas (imaginary omega) are
+    reported separately rather than dropped.
     """
-    from . import oracle
-
-    G = generalized_matrix(chain)
-    lams = oracle.sturm_eigenvalues(oracle.symmetrize(G))
-    scale = np.max(np.abs(lams)) if len(lams) else 1.0
-    lams = np.where(np.abs(lams) <= _KERNEL_RTOL * max(1.0, scale), 0.0, lams)
-    nonneg = lams[lams >= 0.0]
-    negative = lams[lams < 0.0]
-    omegas = chain.v_b * np.sqrt(chain.delta * nonneg)
+    lams, omegas = subwavelength_omegas(chain, certified_eigenvalues(generalized_matrix(chain)))
+    nonneg = lams >= 0.0
     return SubwavelengthSpectrum(
-        omegas=np.sort(omegas), lambdas=np.sort(lams), negative_lambdas=negative
+        omegas=np.sort(omegas[nonneg]), lambdas=np.sort(lams), negative_lambdas=lams[~nonneg]
     )
 
 
@@ -296,28 +302,19 @@ def mode_profile(
     if samples_per_gap < 1:
         raise ValueError("samples_per_gap must be positive")
     left, right = chain.positions()
+    t = np.linspace(0.0, 1.0, samples_per_gap + 2)[1:-1]
 
-    xs: list[float] = []
-    vals: list[float] = []
-    idx: list[int] = []
+    def lay_out(at_left, at_right, in_gaps, before, after):
+        # Resonator i contributes (left end, right end, gap i samples).
+        body = np.column_stack([at_left[:-1], at_right[:-1], in_gaps]).ravel()
+        return np.concatenate([[before], body, [at_left[-1], at_right[-1], after]])
 
-    def emit(x, value, which):
-        xs.append(float(x))
-        vals.append(float(value))
-        idx.append(which)
-
-    margin_left = float(chain.spacings[0])
-    margin_right = float(chain.spacings[-1])
-    emit(left[0] - margin_left, a[0], -1)
-    for i in range(chain.size):
-        emit(left[i], a[i], i)
-        emit(right[i], a[i], i)
-        if i < chain.size - 1:
-            t = np.linspace(0.0, 1.0, samples_per_gap + 2)[1:-1]
-            for tt in t:
-                x = right[i] + tt * (left[i + 1] - right[i])
-                emit(x, a[i] + tt * (a[i + 1] - a[i]), -1)
-    emit(right[-1] + margin_right, a[-1], -1)
+    sites = np.arange(chain.size)
     return ModeProfile(
-        xs=np.array(xs), values=np.array(vals), resonator_index_map=np.array(idx)
+        xs=lay_out(
+            left, right, right[:-1, None] + t * (left[1:] - right[:-1])[:, None],
+            left[0] - float(chain.spacings[0]), right[-1] + float(chain.spacings[-1]),
+        ),
+        values=lay_out(a, a, a[:-1, None] + t * (a[1:] - a[:-1])[:, None], a[0], a[-1]),
+        resonator_index_map=lay_out(sites, sites, np.full((chain.size - 1, len(t)), -1), -1, -1),
     )

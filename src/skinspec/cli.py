@@ -56,7 +56,6 @@ class RunConfig:
     samples: int = _DEFAULT_SAMPLES
     grid: tuple[float, float, float, float, int, int] | None = None
     epsilons: tuple[float, ...] = _DEFAULT_EPS
-    samples_per_gap: int = 9
 
 
 def _require(raw: dict, key: str):
@@ -215,36 +214,26 @@ def load_config(path: Path, out_dir: Path, args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip text for one CSV cell."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return repr(v)
-    return str(value)
+def _write_table(cfg: RunConfig, stem: str, columns: dict) -> Path:
+    """Write a table given as equal-length columns: arrays, or lists of Python scalars.
 
-
-def _write_rows(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    CSV cells are what ``csv.writer`` makes of Python scalars (a float's repr,
+    an empty field for None), except that booleans read true/false as in JSON.
+    """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
     if cfg.fmt == "json":
-        path = cfg.out_dir / f"{stem}.json"
-        payload = [
-            {key: (None if val is None else val) for key, val in zip(header, row)}
-            for row in rows
-        ]
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
-        return path
+        return _write_json(cfg, stem, [dict(zip(columns, row)) for row in zip(*cols)])
+    cols = [
+        col if isinstance(c, np.ndarray) and c.dtype.kind in "iuf"
+        else [("true" if v else "false") if isinstance(v, bool) else v for v in col]
+        for c, col in zip(columns.values(), cols)
+    ]
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{stem}.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(columns)
+        writer.writerows(zip(*cols))
     return path
 
 
@@ -296,33 +285,35 @@ def _solve(cfg: RunConfig) -> _Problem:
 def cmd_spectrum(cfg: RunConfig) -> list[Path]:
     """Eigenvalue table: index, lambda, mu, klass, theta (+ omega for chains)."""
     prob = _solve(cfg)
-    chain_mode = prob.chain is not None
-    header = ["index", "lambda", "mu", "klass", "theta"]
-    if chain_mode:
-        header.append("omega")
-    scale = max(1.0, max(abs(p.lam) for p in prob.pairs)) if prob.pairs else 1.0
-    rows = []
-    for i, p in enumerate(prob.pairs):
-        row = [i, p.lam, p.mu, p.klass, p.theta]
-        if chain_mode:
-            lam = 0.0 if abs(p.lam) <= 1e-10 * scale else p.lam
-            omega = prob.chain.v_b * math.sqrt(prob.chain.delta * lam) if lam >= 0.0 else None
-            row.append(omega)
-        rows.append(row)
-    return [_write_rows(cfg, "spectrum", header, rows)]
+    lams = np.array([p.lam for p in prob.pairs])
+    columns = {
+        "index": np.arange(len(lams)),
+        "lambda": lams,
+        "mu": [p.mu for p in prob.pairs],
+        "klass": [p.klass for p in prob.pairs],
+        "theta": [p.theta for p in prob.pairs],
+    }
+    if prob.chain is not None:
+        clamped, omegas = capacitance.subwavelength_omegas(prob.chain, lams)
+        columns["omega"] = np.where(clamped >= 0.0, omegas, None).tolist()
+    return [_write_table(cfg, "spectrum", columns)]
 
 
 def cmd_modes(cfg: RunConfig) -> list[Path]:
     """Eigenvectors with residuals, decay/localization reports, profiles."""
     prob = _solve(cfg)
-    rows = []
-    for i, p in enumerate(prob.pairs):
-        for j, value in enumerate(p.vector):
-            rows.append([i, p.lam, j, value, p.residual])
-    written = [_write_rows(cfg, "modes", ["index", "lambda", "entry_index", "value", "residual"], rows)]
+    pairs, n = prob.pairs, prob.matrix.order
+    modes = {
+        "index": np.repeat(np.arange(len(pairs)), n),
+        "lambda": np.repeat([p.lam for p in pairs], n),
+        "entry_index": np.tile(np.arange(n), len(pairs)),
+        "value": np.concatenate([p.vector for p in pairs]),
+        "residual": np.repeat([p.residual for p in pairs], n),
+    }
+    written = [_write_table(cfg, "modes", modes)]
 
     reports = []
-    for i, p in enumerate(prob.pairs):
+    for i, p in enumerate(pairs):
         entry = {"index": i, "lambda": p.lam, "residual": p.residual, "method": p.method}
         rep = None
         if prob.interface_site is not None:
@@ -347,13 +338,22 @@ def cmd_modes(cfg: RunConfig) -> list[Path]:
     written.append(_write_json(cfg, "decay_reports", reports))
 
     if prob.chain is not None:
-        prows = []
-        for i, p in enumerate(prob.pairs):
-            prof = capacitance.mode_profile(prob.chain, p.vector, cfg.samples_per_gap)
-            for x, val, res in zip(prof.xs, prof.values, prof.resonator_index_map):
-                prows.append([i, x, int(res), val])
-        written.append(_write_rows(cfg, "profiles", ["index", "x", "resonator", "value"], prows))
+        profs = [capacitance.mode_profile(prob.chain, p.vector) for p in pairs]
+        profiles = {
+            "index": np.repeat(np.arange(len(profs)), [len(q.xs) for q in profs]),
+            "x": np.concatenate([q.xs for q in profs]),
+            "resonator": np.concatenate([q.resonator_index_map for q in profs]),
+            "value": np.concatenate([q.values for q in profs]),
+        }
+        written.append(_write_table(cfg, "profiles", profiles))
     return written
+
+
+def _winding(curve: spectral.SymbolCurve, lam: float) -> int | None:
+    try:
+        return spectral.winding(curve, lam)
+    except spectral.PointOnCurveError:
+        return None
 
 
 def cmd_topology(cfg: RunConfig) -> list[Path]:
@@ -367,41 +367,29 @@ def cmd_topology(cfg: RunConfig) -> list[Path]:
     written = []
 
     dcurve = spectral.det_curve(params, cfg.samples)
-    written.append(
-        _write_rows(
-            cfg, "det_curve", ["theta", "re", "im"],
-            [[t, z.real, z.imag] for t, z in zip(dcurve.thetas, dcurve.points)],
-        )
-    )
-    plus, minus = spectral.eig_curves(params, cfg.samples)
-    erows = []
-    for branch, curve in enumerate((plus, minus)):
-        for t, z in zip(curve.thetas, curve.points):
-            erows.append([t, branch, z.real, z.imag])
-    written.append(_write_rows(cfg, "eig_curves", ["theta", "branch", "re", "im"], erows))
+    det = {"theta": dcurve.thetas, "re": dcurve.points.real, "im": dcurve.points.imag}
+    written.append(_write_table(cfg, "det_curve", det))
+    curves = spectral.eig_curves(params, cfg.samples)
+    eig = {
+        "theta": np.concatenate([c.thetas for c in curves]),
+        "branch": np.repeat(np.arange(len(curves)), [len(c.thetas) for c in curves]),
+        "re": np.concatenate([c.points.real for c in curves]),
+        "im": np.concatenate([c.points.imag for c in curves]),
+    }
+    written.append(_write_table(cfg, "eig_curves", eig))
 
     union = spectral.eig_curve_union(params, cfg.samples)
-    wrows = []
-    for i, p in enumerate(prob.pairs):
-        try:
-            w_det = spectral.winding(dcurve, p.lam)
-            det_defined = True
-        except spectral.PointOnCurveError:
-            w_det, det_defined = None, False
-        try:
-            w_eig = spectral.winding(union, p.lam)
-        except spectral.PointOnCurveError:
-            w_eig = None
-        wrows.append([i, p.lam, w_det, det_defined, w_eig])
-    written.append(
-        _write_rows(
-            cfg, "winding",
-            ["index", "lambda", "winding_det", "winding_det_defined", "winding_eig"],
-            wrows,
-        )
-    )
-
     lams = np.array([p.lam for p in prob.pairs])
+    w_det, w_eig = zip(*[(_winding(dcurve, lam), _winding(union, lam)) for lam in lams.tolist()])
+    winding = {
+        "index": np.arange(len(lams)),
+        "lambda": lams,
+        "winding_det": list(w_det),
+        "winding_det_defined": [w is not None for w in w_det],
+        "winding_eig": list(w_eig),
+    }
+    written.append(_write_table(cfg, "winding", winding))
+
     if cfg.grid is not None:
         re0, re1, im0, im1, nx, ny = cfg.grid
     else:
@@ -410,13 +398,12 @@ def cmd_topology(cfg: RunConfig) -> list[Path]:
         im0, im1 = -pad, pad
         nx = ny = 200
     grid = spectral.pseudospectrum(prob.matrix, (re0, re1), (im0, im1), (nx, ny))
-    re = grid.re_values()
-    im = grid.im_values()
-    grows = []
-    for iy in range(ny):
-        for ix in range(nx):
-            grows.append([re[ix], im[iy], grid.sigma_min[iy, ix]])
-    written.append(_write_rows(cfg, "pseudospectrum", ["re", "im", "sigma_min"], grows))
+    pseudo = {
+        "re": np.tile(grid.re_values(), ny),
+        "im": np.repeat(grid.im_values(), nx),
+        "sigma_min": grid.sigma_min.ravel(),
+    }
+    written.append(_write_table(cfg, "pseudospectrum", pseudo))
 
     theta_min, det_min = spectral.det_min_on_circle(params, max(cfg.samples, 4096))
     summary = {

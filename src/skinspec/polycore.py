@@ -90,7 +90,7 @@ class RecurrenceSpec:
     ``xi_q`` the starting values of the two families.  For the eigenvector of
     a matrix with corner perturbation ``a`` at eigenvalue ``lam`` these are
     ``xi_q = alpha1 - lam`` and ``xi_p = alpha1 + a - lam``, so
-    ``corner_a = xi_p - xi_q``; it defaults to that difference.
+    ``xi_p - xi_q = a``.
 
     Each field may also be an array of lanes (one recurrence per entry, all
     of one shape), which :func:`hat_sequences` runs side by side.
@@ -100,13 +100,10 @@ class RecurrenceSpec:
     beta_ratio: float | np.ndarray
     xi_p: float | np.ndarray
     xi_q: float | np.ndarray
-    corner_a: float | np.ndarray | None = None
 
     def __post_init__(self):
         if not np.all(np.asarray(self.beta_ratio) > 0.0):
             raise ValueError("beta_ratio must be positive")
-        if self.corner_a is None:
-            object.__setattr__(self, "corner_a", self.xi_p - self.xi_q)
 
     @property
     def initial_values(self) -> tuple[float, float, float, float]:

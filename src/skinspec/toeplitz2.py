@@ -38,6 +38,7 @@ __all__ = [
     "BracketReport",
     "build_perturbed",
     "build_interface",
+    "certified_eigenvalues",
     "char_poly",
     "eigen_all",
     "eigenvector_exact",
@@ -419,7 +420,7 @@ def mirrored_eigenvector(params: PerturbedDimerParams, n: int, lam: float) -> np
 def _classify(params: PerturbedDimerParams | None, lam: float):
     if params is None:
         return None, None, "unclassified"
-    mu = y_map(params, lam)
+    mu = float(y_map(params, lam))
     if abs(mu) <= 1.0 + _BULK_TOL:
         return mu, math.acos(min(1.0, max(-1.0, mu))), "bulk"
     return mu, None, "exceptional"
@@ -439,14 +440,24 @@ def _describes(params: PerturbedDimerParams, T: TridiagonalMatrix) -> bool:
     )
 
 
+def certified_eigenvalues(T: TridiagonalMatrix) -> np.ndarray:
+    """Ascending eigenvalues of a symmetrizable tridiagonal matrix.
+
+    LAPACK (dsterf) estimates on the symmetrized matrix, each certified by
+    Sturm counts in a bracket of width 1e-14*max(1,|lam|) and bisected where
+    that fails.
+    """
+    S = oracle.symmetrize(T)
+    guess = eigh_tridiagonal(S.diag, S.offdiag, eigvals_only=True, lapack_driver="sterf")
+    return oracle.sturm_eigenvalues(S, _EIG_TOL, guess=guess)
+
+
 def solve_tridiagonal_eigenpairs(
     T: TridiagonalMatrix, params: PerturbedDimerParams | None = None
 ) -> list[Eigenpair]:
     """All eigenpairs of a symmetrizable tridiagonal matrix, sorted by eigenvalue.
 
-    Eigenvalues are LAPACK (dsterf) estimates on the symmetrized matrix, each
-    certified by Sturm counts in a bracket of width 1e-14*max(1,|lam|) and
-    bisected where that fails.  ``params``, when given, classifies each pair
+    Eigenvalues come from :func:`certified_eigenvalues`.  ``params``, when given, classifies each pair
     as bulk or exceptional through its y-map.  When it also reproduces T's
     bands up to rounding (a perturbed dimer matrix, e.g. a dimer chain's
     generalized capacitance matrix), eigenvectors come from the closed form,
@@ -455,9 +466,7 @@ def solve_tridiagonal_eigenpairs(
     formula degenerates, they come from inverse iteration, reorthogonalized
     inside numerically coincident clusters.
     """
-    S = oracle.symmetrize(T)
-    guess = eigh_tridiagonal(S.diag, S.offdiag, eigvals_only=True, lapack_driver="sterf")
-    lams = oracle.sturm_eigenvalues(S, _EIG_TOL, guess=guess)
+    lams = certified_eigenvalues(T)
     if params is None or not _describes(params, T):
         return _pair_up(T, lams, params)
     starts = range(0, T.order, _LANE_BLOCK)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skinspec as sk
 from skinspec.capacitance import (
@@ -245,3 +247,53 @@ def test_mode_profile_validation(dimer_chain_50):
         mode_profile(dimer_chain_50, np.ones(49), 5)
     with pytest.raises(ValueError):
         mode_profile(dimer_chain_50, np.ones(50), 0)
+
+
+def _mode_profile_reference(chain, eigvec, samples_per_gap):
+    """The sample-by-sample loop that the array-built mode_profile replaced."""
+    a = np.asarray(eigvec, dtype=float)
+    left, right = chain.positions()
+    xs, vals, idx = [], [], []
+
+    def emit(x, value, which):
+        xs.append(float(x))
+        vals.append(float(value))
+        idx.append(which)
+
+    margin_left = float(chain.spacings[0])
+    margin_right = float(chain.spacings[-1])
+    emit(left[0] - margin_left, a[0], -1)
+    for i in range(chain.size):
+        emit(left[i], a[i], i)
+        emit(right[i], a[i], i)
+        if i < chain.size - 1:
+            t = np.linspace(0.0, 1.0, samples_per_gap + 2)[1:-1]
+            for tt in t:
+                x = right[i] + tt * (left[i + 1] - right[i])
+                emit(x, a[i] + tt * (a[i + 1] - a[i]), -1)
+    emit(right[-1] + margin_right, a[-1], -1)
+    return np.array(xs), np.array(vals), np.array(idx)
+
+
+@st.composite
+def _chain_and_vector(draw):
+    n = draw(st.integers(2, 24))
+    size = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+    lengths = draw(st.lists(size, min_size=n, max_size=n))
+    spacings = draw(st.lists(size, min_size=n - 1, max_size=n - 1))
+    amp = st.floats(-1e200, 1e200, allow_nan=False, allow_infinity=False)
+    vector = draw(st.lists(amp, min_size=n, max_size=n))
+    return ResonatorChain(lengths, spacings, np.ones(n)), np.array(vector)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chain_and_vector(), st.integers(1, 12))
+def test_mode_profile_matches_reference_loop(chain_vector, samples_per_gap):
+    chain, vector = chain_vector
+    prof = mode_profile(chain, vector, samples_per_gap)
+    xs, values, index = _mode_profile_reference(chain, vector, samples_per_gap)
+    # Bitwise: the same float operations in the same order.
+    assert np.array_equal(prof.xs.view(np.int64), xs.view(np.int64))
+    assert np.array_equal(prof.values.view(np.int64), values.view(np.int64))
+    assert np.array_equal(prof.resonator_index_map, index)
+    assert prof.resonator_index_map.dtype == index.dtype

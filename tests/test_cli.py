@@ -1,9 +1,10 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 
-from skinspec.cli import main
+from skinspec.cli import _write_table, main
 
 
 def write_config(tmp_path, name, payload):
@@ -223,3 +224,48 @@ def test_csv_uses_lf_line_endings(tmp_path):
     raw = (out / "spectrum.csv").read_bytes()
     assert b"\r" not in raw
     assert raw.decode().splitlines()[0] == "index,lambda,mu,klass,theta,omega"
+
+
+def _fmt_reference(value) -> str:
+    """The per-cell CSV formatter the table writer replaced."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def test_write_table_matches_reference_format(tmp_path):
+    columns = {
+        "index": np.arange(7),
+        "value": np.array([-0.0, np.nan, np.inf, -np.inf, 1e16, 5e-324, 0.1]),
+        "maybe": [None, 1.5, -2, None, 3.25e-7, None, 0],
+        "flag": [True, False, None, True, False, True, False],
+        "mask": np.array([True, False, True, True, False, False, True]),
+        "klass": ["bulk", "exceptional", "a,b", 'say "hi"', "", "unclassified", "bulk"],
+    }
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(columns))
+        for row in zip(*columns.values()):
+            writer.writerow([_fmt_reference(v) for v in row])
+
+    path = _write_table(SimpleNamespace(out_dir=tmp_path / "csv", fmt="csv"), "t", columns)
+    assert path.read_bytes() == ref.read_bytes()
+
+    path = _write_table(SimpleNamespace(out_dir=tmp_path / "json", fmt="json"), "t", columns)
+    text = path.read_text()
+    assert '"flag": true' in text and '"mask": false' in text and '"maybe": null' in text
+    rows = json.loads(text)
+    assert [r["flag"] for r in rows] == columns["flag"]
+    assert [r["mask"] for r in rows] == columns["mask"].tolist()
+    assert [r["maybe"] for r in rows] == columns["maybe"]
+    assert [r["index"] for r in rows] == list(range(7))
+    assert all(type(r["index"]) is int for r in rows)
+    assert [r["klass"] for r in rows] == columns["klass"]
+    assert np.array_equal([r["value"] for r in rows], columns["value"], equal_nan=True)

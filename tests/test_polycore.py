@@ -87,13 +87,13 @@ def test_y_map_rejects_inadmissible():
 def test_recurrence_spec_validation():
     with pytest.raises(ValueError):
         RecurrenceSpec(mu=0.1, beta_ratio=0.0, xi_p=1.0, xi_q=1.0)
-    spec = RecurrenceSpec(mu=0.1, beta_ratio=2.0, xi_p=1.5, xi_q=0.5)
-    assert spec.corner_a == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        RecurrenceSpec(mu=0.1, beta_ratio=np.array([2.0, -1.0]), xi_p=1.5, xi_q=0.5)
 
 
 def test_hat_initial_values():
     # q_hat_1 - p_hat_1 = beta * xi_p, and the explicit first entries.
-    spec = RecurrenceSpec(mu=0.37, beta_ratio=1.3, xi_p=1.0, xi_q=1.0, corner_a=0.0)
+    spec = RecurrenceSpec(mu=0.37, beta_ratio=1.3, xi_p=1.0, xi_q=1.0)
     h = hat_sequences(spec, 3)
     assert h.q_hat[1] - h.p_hat[1] == pytest.approx(1.3 * spec.xi_p)
     assert h.p_hat[0] == spec.xi_p
