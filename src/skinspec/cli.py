@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import math
 import sys
@@ -65,10 +67,13 @@ def _require(raw: dict, key: str):
 
 
 def _finite(name: str, value) -> float:
+    # JSON numbers only: no strings, and no booleans (an int subclass).
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config value {name!r} is not a number")
     try:
         value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config value {name!r} is not a number") from None
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"config value {name!r} must be finite")
     return value
@@ -133,7 +138,7 @@ def load_config(path: Path, out_dir: Path, args) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict) or not raw:
         raise ConfigError("config must be a non-empty JSON object")
@@ -214,26 +219,50 @@ def load_config(path: Path, out_dir: Path, args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write_table(cfg: RunConfig, stem: str, columns: dict) -> Path:
-    """Write a table given as equal-length columns: arrays, or lists of Python scalars.
+@functools.lru_cache  # string cells are mostly a few class labels
+def _csv_quote(s: str) -> str:
+    """A string cell exactly as ``csv.writer`` quotes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((s, ""))
+    return buf.getvalue()[:-2]
 
-    CSV cells are what ``csv.writer`` makes of Python scalars (a float's repr,
-    an empty field for None), except that booleans read true/false as in JSON.
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return _csv_quote(v) if isinstance(v, str) else repr(v)
+
+
+def _write_table(cfg: RunConfig, stem: str, columns: dict) -> Path:
+    """Write a table of columns that broadcast to one shape, rows in C order.
+
+    A column is an array or a list of Python scalars.  In a 2-D table a
+    (K, 1) column holds one value per block of rows, a (1, M) column is
+    shared by every block and a (K, M) column holds one value per row; 1-D
+    and 2-D columns do not mix.  CSV cells are what ``csv.writer`` makes of
+    Python scalars (a float's repr, an empty field for None), except that
+    booleans read true/false as in JSON; each stored value is formatted once.
     """
-    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    cols = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object) for c in columns.values()]
+    if len({c.ndim for c in cols}) > 1:
+        raise ValueError(f"table {stem!r} mixes columns of different dimension")
     if cfg.fmt == "json":
+        cols = [c.ravel().tolist() for c in np.broadcast_arrays(*cols)]
         return _write_json(cfg, stem, [dict(zip(columns, row)) for row in zip(*cols)])
-    cols = [
-        col if isinstance(c, np.ndarray) and c.dtype.kind in "iuf"
-        else [("true" if v else "false") if isinstance(v, bool) else v for v in col]
-        for c, col in zip(columns.values(), cols)
-    ]
+    cells = []
+    for c in cols:
+        values = c.ravel().tolist()
+        fmt = map(repr, values) if c.dtype.kind in "iuf" else map(_csv_cell, values)
+        cells.append(np.array(list(fmt), dtype=object).reshape(c.shape))
+    cells[-1] = cells[-1] + "\n"  # the line ends ride on the last column
+    rows = zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*cells)))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{stem}.csv"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*cols))
+        fh.write(",".join(map(_csv_quote, columns)) + "\n")
+        fh.writelines(map(",".join, rows))
     return path
 
 
@@ -303,12 +332,13 @@ def cmd_modes(cfg: RunConfig) -> list[Path]:
     """Eigenvectors with residuals, decay/localization reports, profiles."""
     prob = _solve(cfg)
     pairs, n = prob.pairs, prob.matrix.order
+    index = np.arange(len(pairs))[:, None]
     modes = {
-        "index": np.repeat(np.arange(len(pairs)), n),
-        "lambda": np.repeat([p.lam for p in pairs], n),
-        "entry_index": np.tile(np.arange(n), len(pairs)),
-        "value": np.concatenate([p.vector for p in pairs]),
-        "residual": np.repeat([p.residual for p in pairs], n),
+        "index": index,
+        "lambda": np.array([[p.lam] for p in pairs]),
+        "entry_index": np.arange(n)[None, :],
+        "value": np.stack([p.vector for p in pairs]),
+        "residual": np.array([[p.residual] for p in pairs]),
     }
     written = [_write_table(cfg, "modes", modes)]
 
@@ -338,12 +368,13 @@ def cmd_modes(cfg: RunConfig) -> list[Path]:
     written.append(_write_json(cfg, "decay_reports", reports))
 
     if prob.chain is not None:
+        # Sample positions and the resonator map depend only on the chain.
         profs = [capacitance.mode_profile(prob.chain, p.vector) for p in pairs]
         profiles = {
-            "index": np.repeat(np.arange(len(profs)), [len(q.xs) for q in profs]),
-            "x": np.concatenate([q.xs for q in profs]),
-            "resonator": np.concatenate([q.resonator_index_map for q in profs]),
-            "value": np.concatenate([q.values for q in profs]),
+            "index": index,
+            "x": profs[0].xs[None, :],
+            "resonator": profs[0].resonator_index_map[None, :],
+            "value": np.stack([q.values for q in profs]),
         }
         written.append(_write_table(cfg, "profiles", profiles))
     return written
@@ -370,11 +401,12 @@ def cmd_topology(cfg: RunConfig) -> list[Path]:
     det = {"theta": dcurve.thetas, "re": dcurve.points.real, "im": dcurve.points.imag}
     written.append(_write_table(cfg, "det_curve", det))
     curves = spectral.eig_curves(params, cfg.samples)
+    points = np.stack([c.points for c in curves])
     eig = {
-        "theta": np.concatenate([c.thetas for c in curves]),
-        "branch": np.repeat(np.arange(len(curves)), [len(c.thetas) for c in curves]),
-        "re": np.concatenate([c.points.real for c in curves]),
-        "im": np.concatenate([c.points.imag for c in curves]),
+        "theta": curves[0].thetas[None, :],  # both branches share the samples
+        "branch": np.arange(len(curves))[:, None],
+        "re": points.real,
+        "im": points.imag,
     }
     written.append(_write_table(cfg, "eig_curves", eig))
 
@@ -399,9 +431,9 @@ def cmd_topology(cfg: RunConfig) -> list[Path]:
         nx = ny = 200
     grid = spectral.pseudospectrum(prob.matrix, (re0, re1), (im0, im1), (nx, ny))
     pseudo = {
-        "re": np.tile(grid.re_values(), ny),
-        "im": np.repeat(grid.im_values(), nx),
-        "sigma_min": grid.sigma_min.ravel(),
+        "re": grid.re_values()[None, :],
+        "im": grid.im_values()[:, None],
+        "sigma_min": grid.sigma_min,
     }
     written.append(_write_table(cfg, "pseudospectrum", pseudo))
 

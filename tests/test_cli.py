@@ -1,8 +1,10 @@
 import csv
+import io
 import json
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from skinspec.cli import _write_table, main
 
@@ -110,6 +112,33 @@ def test_strong_gauge_chain_exit3(tmp_path, capsys):
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("skinspec: numerical failure:") and err.count("\n") == 1
+
+
+def test_overflowing_bands_exit3(tmp_path, capsys):
+    # gamma1*beta1 overflows: the symmetrized bands are not finite.
+    huge = dict(FIG1, alpha1=1e300, beta1=3e200, beta2=4e200, gamma1=5e200, gamma2=4e200)
+    cfg = write_config(tmp_path, "huge.json", huge)
+    for command in ("spectrum", "modes", "topology"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("skinspec: numerical failure:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_non_numeric_config_values_exit2(tmp_path, capsys):
+    for name, bad in (
+        ("N_string.json", dict(DIMER, N="7")),
+        ("gamma_bool.json", dict(DIMER, gamma=True)),
+        ("alpha_bool.json", dict(FIG1, alpha1=False)),
+    ):
+        cfg = write_config(tmp_path, name, bad)
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "is not a number" in capsys.readouterr().err
+    # An integer literal of 5,000 digits is past what json converts.
+    cfg = tmp_path / "long_int.json"
+    cfg.write_text(json.dumps(DIMER).replace('"N": 50', '"N": 1' + "0" * 5000))
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_tiny_gauge_chain_exit0(tmp_path):
@@ -269,3 +298,69 @@ def test_write_table_matches_reference_format(tmp_path):
     assert all(type(r["index"]) is int for r in rows)
     assert [r["klass"] for r in rows] == columns["klass"]
     assert np.array_equal([r["value"] for r in rows], columns["value"], equal_nan=True)
+
+
+def _flat_reference(flat: dict) -> tuple[bytes, str]:
+    """CSV bytes and JSON text of a flat table, cell by cell as before broadcasting."""
+    rows = list(zip(*(c.tolist() for c in flat.values())))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(flat))
+    for row in rows:
+        writer.writerow([_fmt_reference(v) for v in row])
+    payload = [dict(zip(flat, row)) for row in rows]
+    return buf.getvalue().encode(), json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"
+
+
+@pytest.mark.parametrize("K, M", [(5, 5), (1, 6), (3, 8)])
+def test_write_table_blocks_match_flat_reference(tmp_path, K, M):
+    rng = np.random.default_rng(100 * K + M)
+    special = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1e16, -2.5])
+    lam = rng.standard_normal((K, 1))
+    lam[0, 0] = -0.0
+    x = np.resize(special, (1, M))
+    flag = (np.arange(M) % 3 == 0)[None, :]
+    value = rng.choice(np.concatenate([special, rng.standard_normal(8)]), (K, M))
+    blocks = {
+        "index": np.arange(K)[:, None],
+        "lambda": lam,
+        "entry_index": np.arange(M)[None, :],
+        "x": x,
+        "flag": flag,
+        "value": value,
+    }
+    flat = {
+        "index": np.repeat(np.arange(K), M),
+        "lambda": np.repeat(lam[:, 0], M),
+        "entry_index": np.tile(np.arange(M), K),
+        "x": np.tile(x[0], K),
+        "flag": np.tile(flag[0], K),
+        "value": value.ravel(),
+    }
+    csv_ref, json_ref = _flat_reference(flat)
+    path = _write_table(SimpleNamespace(out_dir=tmp_path / "csv", fmt="csv"), "t", blocks)
+    assert path.read_bytes() == csv_ref
+    path = _write_table(SimpleNamespace(out_dir=tmp_path / "json", fmt="json"), "t", blocks)
+    assert path.read_text() == json_ref
+
+
+def test_write_table_str_cells_match_csv_writer(tmp_path):
+    texts = ["a\rb", "x\ny", "", "a,b", 'say "hi"', "plain"]
+    columns = {"text": texts, "index": np.arange(len(texts)), 'note, "quoted"': texts[::-1]}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(columns))
+    writer.writerows(zip(texts, range(len(texts)), texts[::-1]))
+    path = _write_table(SimpleNamespace(out_dir=tmp_path, fmt="csv"), "t", columns)
+    assert path.read_bytes() == buf.getvalue().encode()
+
+
+def test_write_table_rejects_mixed_dimensions(tmp_path):
+    for columns in (
+        {"index": np.arange(3), "value": np.zeros((3, 3))},
+        {"index": np.arange(3)[:, None], "klass": ["a", "b", "c"]},
+    ):
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValueError):
+                _write_table(SimpleNamespace(out_dir=tmp_path, fmt=fmt), "t", columns)
+    assert not list(tmp_path.iterdir())

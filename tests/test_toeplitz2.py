@@ -1,12 +1,15 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skinspec as sk
 from skinspec import oracle
 from skinspec.toeplitz2 import (
+    DecayReport,
     NotAnEigenvalueError,
     bracket_report,
     build_interface,
@@ -15,6 +18,7 @@ from skinspec.toeplitz2 import (
     decay_report,
     eigen_all,
     eigenvector_exact,
+    _fit_slope,
     interface_localization_check,
     mirrored_eigenvector,
 )
@@ -265,6 +269,81 @@ def test_interface_check_flags_flat_vector():
     assert not rep.satisfied
     with pytest.raises(ValueError):
         interface_localization_check(np.ones(10), 9, 1.0)
+
+
+def _interface_check_reference(v: np.ndarray, m: int, gamma_ell: float) -> DecayReport:
+    """The per-cell loop that interface_localization_check replaced."""
+    n = len(v)
+    v_abs = np.abs(v)
+    half_rate = gamma_ell / 2.0
+    j = np.arange(1, n + 1, dtype=float)
+    dist = np.abs(j - m)
+    mask = dist > 0
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(v_abs[mask]) - np.log(dist[mask]) + half_rate * dist[mask]
+    bound_constant = float(np.exp(np.max(log_ratio)))
+    peak_index = int(np.argmax(v_abs)) + 1
+
+    def side_rate(sites, d):
+        keep = (d >= 2) & (sites >= 3) & (sites <= n - 2)
+        sites, d = sites[keep], d[keep]
+        if len(sites) == 0:
+            return math.nan
+        cell = (d // 2).astype(int)
+        centers, logs = [], []
+        for c in np.unique(cell):
+            sel = cell == c
+            env = v_abs[sites[sel] - 1].max()
+            if env <= 1e-250:
+                continue
+            centers.append(sites[sel].mean())
+            logs.append(math.log(env))
+        return _fit_slope(np.asarray(centers), np.asarray(logs))
+
+    left_sites = np.arange(1, m + 1)
+    right_sites = np.arange(m + 1, n + 1)
+    rate_left = side_rate(left_sites, m - left_sites)
+    rate_right = side_rate(right_sites, right_sites - (m + 1))
+    finite = np.isfinite(rate_left) and np.isfinite(rate_right)
+    rtol = 0.1 * half_rate
+    rates_ok = (
+        finite
+        and rate_left > 0.0
+        and rate_right < 0.0
+        and abs(abs(rate_left) - half_rate) <= rtol
+        and abs(abs(rate_right) - half_rate) <= rtol
+    )
+    peak_ok = min(abs(peak_index - m), abs(peak_index - (m + 1))) <= 2
+    return DecayReport(
+        rate_fit=-(abs(rate_left) + abs(rate_right)) / 2.0 if finite else math.nan,
+        rate_theory=-half_rate,
+        bound_constant=bound_constant,
+        satisfied=bool(peak_ok and rates_ok),
+        rate_fit_left=rate_left,
+        rate_fit_right=rate_right,
+        peak_index=peak_index,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_interface_check_matches_reference_loop(data):
+    n = data.draw(st.integers(4, 90), label="n")
+    m = data.draw(st.one_of(st.just(2), st.just(n - 2), st.integers(2, n - 2)), label="m")
+    # Magnitudes from 1e-330 (zero) through the 1e-250 cut-off to 1e3.
+    exponents = np.array(data.draw(st.lists(st.floats(-330.0, 3.0), min_size=n, max_size=n)))
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    v = signs * 10.0**exponents
+    tiny = data.draw(st.sampled_from(["none", "left", "right"]), label="tiny side")
+    if tiny == "left":
+        v[:m] *= 1e-260
+    elif tiny == "right":
+        v[m:] *= 1e-260
+    v[m - 1] = 1.0  # never the zero vector
+    gamma_ell = data.draw(st.floats(0.05, 12.0), label="gamma_ell")
+    rep = interface_localization_check(v, m, gamma_ell)
+    # Exact: the repr tells -0.0, nan and every last bit apart.
+    assert repr(astuple(rep)) == repr(astuple(_interface_check_reference(v, m, gamma_ell)))
 
 
 def test_oracle_exact_agreement_large(fig1_params):
