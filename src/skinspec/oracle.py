@@ -263,7 +263,7 @@ def inverse_iteration_vector(
             # Stagnating: restart from the ramp once.
             v = np.arange(1, n + 1, dtype=float) / n
     raise ConvergenceError(
-        f"inverse iteration stalled at residual {best_res:.3e} for lambda={lam!r}"
+        f"inverse iteration stalled at residual {best_res:.3e} for lambda={float(lam)!r}"
     )
 
 

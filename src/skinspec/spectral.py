@@ -9,8 +9,10 @@ symbol here is f(z) = B_-1/z + B_0 + B_1 z with
 so f(z) = [[alpha1, beta1 + gamma2/z], [gamma1 + beta2*z, alpha2]].  The
 determinant loop and the two eigenvalue loops of f on the unit circle carry
 the winding data; epsilon-pseudospectra of the finite matrices are computed
-from sigma_min(zI - M) via inverse Lanczos on (A^H A)^-1, one lane-vectorized
-complex tridiagonal LU per grid point.
+from sigma_min(zI - M) via inverse Lanczos on (A^H A)^-1.  The grid points of
+a chunk share one block-diagonal LAPACK LU (``zgttrf``/``zgttrs``), one
+diagonal block per point: a point with a pivot below 1e-300 returns 0 at
+once, and a point whose solves overflow is solved on its own and returns 0.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .oracle import ConvergenceError
 
@@ -268,106 +271,76 @@ _LAGUERRE_MAX_ITER = 50
 _TINY_PIVOT = 1e-300
 
 
-class _LaneLU:
-    """Partial-pivoted LU of many tridiagonal complex matrices at once.
+# Identity rows closing the flat system: the LAPACK wrappers need order >= 3,
+# also for an empty batch.
+_TAIL = 3
 
-    Bands are arrays of shape (n, L) / (n-1, L) for L independent lanes; the
-    factorization stores the usual second superdiagonal fill-in, the row-swap
-    mask and the multipliers per elimination step.
+
+def _tails(size: int):
+    """Ends of the flat dl, d, du, du2 and ipiv after ``size`` lane rows."""
+    zero = np.zeros(_TAIL - 1, dtype=complex)
+    return zero, np.ones(_TAIL, dtype=complex), zero, zero[1:], size + np.arange(1, _TAIL + 1)
+
+
+class _BlockLU:
+    """LU of L tridiagonal lanes of order n as one block-diagonal LAPACK system.
+
+    Lane k takes rows k*n ... k*n + n - 1 of one tridiagonal whose couplings
+    between lanes are zero, closed by identity rows.  Partial pivoting never
+    crosses a zero coupling, so one ``zgttrf`` gives every lane the LU of its
+    own matrix, and the lanes of any subset form a block-diagonal LU again.
     """
 
     def __init__(self, dl: np.ndarray, d: np.ndarray, du: np.ndarray):
-        n, L = d.shape
-        self.n, self.L = n, L
-        self.d = d.copy()
-        self.du = du.copy() if n > 1 else np.zeros((0, L), dtype=complex)
-        self.du2 = np.zeros((max(n - 2, 0), L), dtype=complex)
-        self.mult = np.zeros((max(n - 1, 0), L), dtype=complex)
-        self.swap = np.zeros((max(n - 1, 0), L), dtype=bool)
-        self._factor(dl)
+        """Factor lanes given as (L, n) bands; the last column of ``dl``, ``du`` must be 0."""
+        L, n = d.shape
+        self.n = n
+        flat = (np.concatenate((band.ravel(), t)) for band, t in zip((dl, d, du), _tails(L * n)))
+        *self.flat, _ = zgttrf(*flat)
+        self.singular = (np.abs(self.flat[1][: L * n].reshape(L, n)) < _TINY_PIVOT).any(axis=1)
 
-    def _factor(self, dl: np.ndarray):
-        d, du, du2 = self.d, self.du, self.du2
-        n = self.n
-        for i in range(n - 1):
-            low = dl[i]
-            swap = np.abs(d[i]) < np.abs(low)
-            self.swap[i] = swap
-            # Pivot row entries at columns i, i+1, i+2.
-            p0 = np.where(swap, low, d[i])
-            p1 = np.where(swap, d[i + 1], du[i])
-            p2 = np.zeros(self.L, dtype=complex)
-            if i + 1 < n - 1:
-                p2 = np.where(swap, du[i + 1], 0.0)
-            # Eliminated row entries at the same columns.
-            e0 = np.where(swap, d[i], low)
-            e1 = np.where(swap, du[i], d[i + 1])
-            e2 = np.zeros(self.L, dtype=complex)
-            if i + 1 < n - 1:
-                e2 = np.where(swap, 0.0, du[i + 1])
-            dead = np.abs(p0) < _TINY_PIVOT
-            if dead.any():
-                p0 = np.where(dead, _TINY_PIVOT, p0)
-            m = e0 / p0
-            self.mult[i] = m
-            d[i] = p0
-            du[i] = p1
-            if i < n - 2:
-                self.du2[i] = p2
-            d[i + 1] = e1 - m * p1
-            if i + 1 < n - 1:
-                du[i + 1] = e2 - m * p2
-        dead = np.abs(d[n - 1]) < _TINY_PIVOT
-        if dead.any():
-            d[n - 1] = np.where(dead, _TINY_PIVOT, d[n - 1])
+    def _select(self, mask: np.ndarray) -> list[np.ndarray]:
+        """Flat factors of the lanes where ``mask`` is True, as a system of their own."""
+        n, kept = self.n, np.flatnonzero(mask)
+        size = len(kept) * n
+        out = []
+        for f, tail in zip(self.flat, _tails(size)):
+            g = np.empty(size + len(tail), dtype=f.dtype)
+            lanes = f[: len(mask) * n].reshape(-1, n)
+            # mode="clip" writes into ``out`` directly; "raise" would copy it first.
+            np.take(lanes, kept, axis=0, out=g[:size].reshape(-1, n), mode="clip")
+            g[size:] = tail
+            out.append(g)
+        # Pivots are row numbers: shift each kept lane to its new place.
+        piv = out[-1][:size].reshape(-1, n)
+        piv -= n * (kept - np.arange(len(kept)))[:, None]
+        return out
 
     def keep(self, mask: np.ndarray):
         """Drop the lanes where ``mask`` is False."""
-        for name in ("d", "du", "du2", "mult", "swap"):
-            setattr(self, name, getattr(self, name)[:, mask])
+        self.flat = self._select(mask)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b lane-wise; b has shape (n, lanes)."""
-        n = self.n
-        d, du, du2, mult, swap = self.d, self.du, self.du2, self.mult, self.swap
-        y = b.copy()
-        for i in range(n - 1):
-            s = swap[i]
-            yi = np.where(s, y[i + 1], y[i])
-            yi1 = np.where(s, y[i], y[i + 1])
-            y[i] = yi
-            y[i + 1] = yi1 - mult[i] * yi
-        x = np.empty_like(y)
-        x[n - 1] = y[n - 1] / d[n - 1]
-        if n > 1:
-            x[n - 2] = (y[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
-        for i in range(n - 3, -1, -1):
-            x[i] = (y[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+    def solve(self, b: np.ndarray, trans: str) -> np.ndarray:
+        """Solve A x = b (``trans='N'``) or A^H x = b (``'C'``) lane-wise; b is (L, n).
+
+        0 * inf = nan crosses the zero couplings, so lanes that a non-finite
+        result reaches are solved again one at a time.
+        """
+        x = _gttrs(self.flat, b, trans)
+        if not np.isfinite(np.sum(x)):
+            lanes = np.arange(len(b))
+            for k in np.flatnonzero(~np.isfinite(x).all(axis=1)):
+                x[k] = _gttrs(self._select(lanes == k), b[k : k + 1], trans)
         return x
 
-    def solve_h(self, b: np.ndarray) -> np.ndarray:
-        """Solve A^H x = b lane-wise: :meth:`solve` transposed step by step, on conj(b)."""
-        n = self.n
-        d, du, du2, mult, swap = self.d, self.du, self.du2, self.mult, self.swap
-        x = np.conj(b)
-        x[0] = x[0] / d[0]
-        if n > 1:
-            x[1] = (x[1] - du[0] * x[0]) / d[1]
-        for i in range(2, n):
-            x[i] = (x[i] - du[i - 1] * x[i - 1] - du2[i - 2] * x[i - 2]) / d[i]
-        for i in range(n - 2, -1, -1):
-            xi = x[i] - mult[i] * x[i + 1]
-            x[i], x[i + 1] = np.where(swap[i], x[i + 1], xi), np.where(swap[i], xi, x[i + 1])
-        return np.conj(x, out=x)
 
-
-def _shifted_bands(M, zs: np.ndarray):
-    """Bands of A = zI - M for every lane."""
-    L = len(zs)
-    d = zs[None, :] - np.asarray(M.diag, dtype=complex)[:, None]
-    du = np.broadcast_to(-np.asarray(M.upper, dtype=complex)[:, None], (M.order - 1, L)).copy()
-    dl = np.broadcast_to(-np.asarray(M.lower, dtype=complex)[:, None], (M.order - 1, L)).copy()
-    return dl, d, du
+def _gttrs(flat: list[np.ndarray], b: np.ndarray, trans: str) -> np.ndarray:
+    """``zgttrs`` on flat factors for the (L, n) lane right-hand sides ``b``."""
+    rhs = np.empty(len(flat[1]), dtype=complex)
+    rhs[: b.size].reshape(b.shape)[...] = b
+    rhs[b.size :] = 0.0
+    x, _ = zgttrs(*flat, rhs[:, None], trans=trans, overwrite_b=1)
+    return x[: b.size, 0].reshape(b.shape)
 
 
 def _largest_ritz(alpha: np.ndarray, beta: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -406,10 +379,13 @@ def sigma_min_many(M, zs: np.ndarray) -> np.ndarray:
 
     Inverse Lanczos: a three-term Lanczos recurrence on (A^H A)^-1 per lane,
     A = (zI - M)/s with s the power of two at or above max(1, |z|, max|M|);
-    sigma = s/sqrt(theta) for the largest Ritz value theta.  A lane retires
-    once theta moves by at most 1e-12 relative between two Ritz evaluations
-    or its Krylov space is invariant; lanes whose solves overflow are
-    singular to working precision and return 0.  Raises
+    sigma = s/sqrt(theta) for the largest Ritz value theta.  The lanes share
+    one block-diagonal LAPACK LU of A^H (:class:`_BlockLU`).  A lane with a
+    pivot below 1e-300 is singular and returns 0 at once; a lane whose
+    solves overflow is singular to working precision and returns 0 too, and
+    is solved on its own so that its inf/nan stays out of the other lanes.
+    A lane retires once theta moves by at most 1e-12 relative between two
+    Ritz evaluations or its Krylov space is invariant.  Raises
     :class:`~skinspec.oracle.ConvergenceError` for a lane still moving at the
     step cap, ``ValueError`` for a non-finite z.
     """
@@ -420,27 +396,38 @@ def sigma_min_many(M, zs: np.ndarray) -> np.ndarray:
     m_max = max(np.abs(band).max(initial=0.0) for band in (M.diag, M.upper, M.lower))
     # Dividing by a power of two is exact: a singular shift keeps its zero pivot.
     scale = np.ldexp(1.0, np.frexp(np.maximum(np.abs(zs), max(1.0, m_max)))[1])
-    dl, d, du = (band / scale for band in _shifted_bands(M, zs))
+    # (L, n) bands of A = zI - M; dl and du end in the zero coupling to the next lane.
+    d = (zs[:, None] - np.asarray(M.diag, dtype=complex)) / scale[:, None]
+    du, dl = (np.append(-np.asarray(band, dtype=complex), 0.0) / scale[:, None]
+              for band in (M.upper, M.lower))
     # A^-1 is applied as the adjoint of the A^H solve: separate LUs of A and A^H
     # disagree by O(1) near an eigenvalue, where the recurrence then never settles.
-    lu_h = _LaneLU(np.conj(du), np.conj(d), np.conj(dl))
+    lu_h = _BlockLU(np.conj(du), np.conj(d), np.conj(dl))
+    # Singular lanes return 0 (theta = inf) without a step.
+    out_theta = np.full(L, np.inf)
+    active = np.flatnonzero(~lu_h.singular)
+    lu_h.keep(~lu_h.singular)
+    lanes = len(active)
 
     # One fixed pseudo-random start vector: results do not depend on batching.
     start = np.random.default_rng(0).standard_normal((n, 2)) @ np.array([1.0, 1.0j])
-    q = np.repeat((start / np.linalg.norm(start))[:, None], L, axis=1)
+    q = np.repeat((start / np.linalg.norm(start))[None, :], lanes, axis=0)
     q_prev = np.zeros_like(q)
-    alpha = np.empty((0, L))
-    beta = np.zeros((1, L))  # beta[k + 1] couples Lanczos vectors k and k + 1
-    theta = np.zeros(L)
-    bound = np.zeros(L)
-    out_theta = np.full(L, np.inf)
-    active = np.arange(L)
+    alpha = np.empty((0, lanes))
+    beta = np.zeros((1, lanes))  # beta[k + 1] couples Lanczos vectors k and k + 1
+    theta = np.zeros(lanes)
+    bound = np.zeros(lanes)
     with np.errstate(all="ignore"):
         for j in range(2 * n + _SIGMA_EXTRA_STEPS):
-            y = lu_h.solve(q)
-            a = np.sum((y * np.conj(y)).real, axis=0)
-            w = lu_h.solve_h(y) - a * q - beta[-1] * q_prev
-            b = np.linalg.norm(w, axis=0)
+            y = lu_h.solve(q, "N")
+            # Squared row norms summed over the float view: no temporaries.
+            a = np.einsum("ij,ij->i", y.view(float), y.view(float))
+            # An overflowing lane must not carry inf into the flat adjoint solve.
+            y[~np.isfinite(a)] = 0.0
+            w = lu_h.solve(y, "C")
+            w -= a[:, None] * q
+            w -= beta[-1][:, None] * q_prev
+            b = np.sqrt(np.einsum("ij,ij->i", w.view(float), w.view(float)))
             alpha = np.vstack((alpha, a))
             # Bordering the tridiagonal with (beta[-1], a) lifts a bound on its
             # top eigenvalue at most to the top of [[bound, beta[-1]], [beta[-1], a]].
@@ -448,7 +435,7 @@ def sigma_min_many(M, zs: np.ndarray) -> np.ndarray:
             beta = np.vstack((beta, b))
             if j % max(1, j // 16) and b.all():
                 # A Ritz value costs O(j): past step 32, take one every j // 16 steps.
-                q_prev, q = q, w / b
+                q_prev, q = q, w / b[:, None]
                 continue
             new = _largest_ritz(alpha, beta[1:-1], bound)
             singular = ~np.isfinite(new) | ~np.isfinite(b)
@@ -460,7 +447,7 @@ def sigma_min_many(M, zs: np.ndarray) -> np.ndarray:
             if len(active) == 0:
                 break
             lu_h.keep(keep)
-            q_prev, q = q[:, keep], w[:, keep] / b[keep]
+            q_prev, q = q[keep], w[keep] / b[keep, None]
             alpha, beta, theta, bound = alpha[:, keep], beta[:, keep], new[keep], new[keep]
         else:
             raise ConvergenceError(f"sigma_min: {len(active)}/{L} lanes unconverged at step cap")
@@ -495,9 +482,9 @@ def pseudospectrum(
     """Fill sigma_min(zI - M) on a rectangular grid.
 
     Grid points are independent; they are processed in fixed-size lane chunks,
-    optionally on a thread pool (numpy releases the GIL in the heavy kernels),
-    and reassembled by index so the result is deterministic regardless of
-    scheduling.
+    optionally on a thread pool (LAPACK and numpy release the GIL in the heavy
+    kernels), and reassembled by index so the result is deterministic
+    regardless of scheduling.
     """
     nx, ny = resolution
     if nx < 16 or ny < 16:

@@ -150,3 +150,11 @@ def test_inverse_iteration_rejects_non_eigenvalue():
     T = TridiagonalMatrix([0.0, 0.0], [1.0], [1.0])
     with pytest.raises(oracle.ConvergenceError):
         oracle.inverse_iteration_vector(T, 0.37)
+
+
+def test_inverse_iteration_stall_message_plain_float():
+    T = TridiagonalMatrix([1.0, 2.0, 3.0], [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(oracle.ConvergenceError) as err:
+        oracle.inverse_iteration_vector(T, np.float64(10.0))
+    assert "lambda=10.0" in str(err.value)
+    assert "np.float64" not in str(err.value)

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import skinspec
+import skinspec.cli  # noqa: F401  (tracing.layers reads skinspec.cli)
 
 
 def test_traced_layers_exist(monkeypatch):

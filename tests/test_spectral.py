@@ -6,7 +6,7 @@ import pytest
 import skinspec as sk
 from skinspec.spectral import (
     PointOnCurveError,
-    _LaneLU,
+    _BlockLU,
     SamplingError,
     SymbolCurve,
     det_curve,
@@ -183,22 +183,67 @@ def test_sigma_min_matches_dense_svd(case, dimer_chain_50):
     assert sigma_min_many(M, zs) == pytest.approx(ref, rel=1e-6)
 
 
-def test_lane_lu_adjoint_solve():
-    # solve_h must solve A^H x = b with the factors of A, row swaps included.
+def test_block_lu_solves_match_dense():
+    # Both solves of the block-diagonal LU against dense A x = b and A^H x = b,
+    # on lanes with row interchanges and on diagonally dominant lanes without.
     rng = np.random.default_rng(3)
     n, lanes = 9, 4
-    bands = [rng.normal(size=(k, lanes)) + 1j * rng.normal(size=(k, lanes))
-             for k in (n - 1, n, n - 1)]
-    lu = _LaneLU(*bands)
-    assert lu.swap.any() and not lu.swap.all()
-    b = rng.normal(size=(n, lanes)) + 1j * rng.normal(size=(n, lanes))
-    x = lu.solve_h(b)
+    dl, d, du = (rng.normal(size=(lanes, n)) + 1j * rng.normal(size=(lanes, n)) for _ in range(3))
+    dl[:, -1] = du[:, -1] = 0.0  # the couplings between lanes
+    d[1::2] += 10.0
+    lu = _BlockLU(dl, d, du)
+    swapped = (lu.flat[-1][: lanes * n] != np.arange(1, lanes * n + 1)).reshape(lanes, n).any(axis=1)
+    assert list(swapped) == [True, False, True, False]
+    b = rng.normal(size=(lanes, n)) + 1j * rng.normal(size=(lanes, n))
+    x, x_h = lu.solve(b, "N"), lu.solve(b, "C")
     for k in range(lanes):
-        dl, d, du = (band[:, k] for band in bands)
-        A = np.diag(d) + np.diag(du, 1) + np.diag(dl, -1)
-        assert np.allclose(A.conj().T @ x[:, k], b[:, k], rtol=0, atol=1e-12 * np.abs(b).max())
-    lu.keep(np.array([False, True, True, False]))
-    assert np.array_equal(lu.solve_h(b[:, 1:3]), x[:, 1:3])
+        A = np.diag(d[k]) + np.diag(du[k, :-1], 1) + np.diag(dl[k, :-1], -1)
+        assert np.allclose(A @ x[k], b[k], rtol=0, atol=1e-12 * np.abs(b).max())
+        assert np.allclose(A.conj().T @ x_h[k], b[k], rtol=0, atol=1e-12 * np.abs(b).max())
+    mask = np.array([False, True, True, False])
+    lu.keep(mask)
+    assert np.array_equal(lu.solve(b[mask], "N"), x[mask])
+    assert np.array_equal(lu.solve(b[mask], "C"), x_h[mask])
+
+
+def test_sigma_min_overflow_lanes_stay_isolated():
+    # Lanes whose solves overflow return 0 without turning their batch to 0.
+    M = TridiagonalMatrix(np.zeros(400), np.ones(399), 100.0 * np.ones(399))
+    zs = np.array([1000, 0.5j, 400 + 50j, 3 + 2j, 2000j])
+    batch = sigma_min_many(M, zs)
+    assert np.array_equal(batch, [sigma_min(M, z) for z in zs])
+    live = batch > 0
+    assert list(live) == [True, False, True, False, True]
+    ref = [np.linalg.svd(z * np.eye(400) - M.to_dense(), compute_uv=False)[-1] for z in zs[live]]
+    assert batch[live] == pytest.approx(ref, rel=1e-6)
+
+
+def test_sigma_min_many_empty_batch(dimer_chain_50):
+    M = sk.gauge_capacitance(dimer_chain_50)
+    assert sigma_min_many(M, np.array([], dtype=complex)).shape == (0,)
+
+
+def _chain_window(chain):
+    """Points of the default topology window of ``chain``, as (re, im) ranges."""
+    M = sk.gauge_capacitance(chain)
+    lams = np.linalg.eigvals(M.to_dense()).real
+    pad = 0.25 * (lams.max() - lams.min() + 1.0)
+    return M, (lams.min() - pad, lams.max() + pad), (-pad, pad)
+
+
+def test_sigma_min_many_batch_equals_single_points(dimer_chain_50):
+    M, (re0, re1), (im0, im1) = _chain_window(dimer_chain_50)
+    rng = np.random.default_rng(11)
+    zs = rng.uniform(re0, re1, 300) + 1j * rng.uniform(im0, im1, 300)
+    assert np.array_equal(sigma_min_many(M, zs), [sigma_min(M, z) for z in zs])
+
+
+def test_pseudospectrum_independent_of_workers(dimer_chain_50):
+    # 70 x 64 points make two lane chunks, so two workers share the grid.
+    M, re_range, im_range = _chain_window(dimer_chain_50)
+    one = pseudospectrum(M, re_range, im_range, (70, 64), workers=1)
+    two = pseudospectrum(M, re_range, im_range, (70, 64), workers=2)
+    assert np.array_equal(one.sigma_min, two.sigma_min)
 
 
 def test_sigma_min_far_shift(dimer_chain_50):
