@@ -11,7 +11,7 @@ or a resonator chain:
 
 Outputs are deterministic: fixed row order, shortest round-trip float
 formatting, LF line endings.  Exit codes: 0 ok, 2 config error, 3 numerical
-failure, 4 insufficient sampling.
+failure.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = ["ConfigError", "RunConfig", "cmd_spectrum", "cmd_modes", "cmd_topolog
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
-_EXIT_SAMPLING = 4
 
 _DEFAULT_EPS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 _DEFAULT_SAMPLES = 4096
@@ -380,13 +379,6 @@ def cmd_modes(cfg: RunConfig) -> list[Path]:
     return written
 
 
-def _winding(curve: spectral.SymbolCurve, lam: float) -> int | None:
-    try:
-        return spectral.winding(curve, lam)
-    except spectral.PointOnCurveError:
-        return None
-
-
 def cmd_topology(cfg: RunConfig) -> list[Path]:
     """Symbol curves, winding table and pseudospectrum grid."""
     prob = _solve(cfg)
@@ -410,15 +402,16 @@ def cmd_topology(cfg: RunConfig) -> list[Path]:
     }
     written.append(_write_table(cfg, "eig_curves", eig))
 
-    union = spectral.eig_curve_union(params, cfg.samples)
+    # det f - lam winds as det f does around lam; det(f - lam I) as both branches do.
     lams = np.array([p.lam for p in prob.pairs])
-    w_det, w_eig = zip(*[(_winding(dcurve, lam), _winding(union, lam)) for lam in lams.tolist()])
+    a1, a2 = params.alpha1, params.alpha2
+    w_det = spectral.ellipse_winding(params, a1 * a2 - lams)
     winding = {
         "index": np.arange(len(lams)),
         "lambda": lams,
-        "winding_det": list(w_det),
+        "winding_det": w_det,
         "winding_det_defined": [w is not None for w in w_det],
-        "winding_eig": list(w_eig),
+        "winding_eig": spectral.ellipse_winding(params, (a1 - lams) * (a2 - lams)),
     }
     written.append(_write_table(cfg, "winding", winding))
 
@@ -437,7 +430,7 @@ def cmd_topology(cfg: RunConfig) -> list[Path]:
     }
     written.append(_write_table(cfg, "pseudospectrum", pseudo))
 
-    theta_min, det_min = spectral.det_min_on_circle(params, max(cfg.samples, 4096))
+    theta_min, det_min = spectral.det_min_on_circle(params)
     summary = {
         "det_min_on_circle": det_min,
         "det_min_theta": theta_min,
@@ -479,11 +472,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"skinspec: config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except spectral.SamplingError as exc:
-        print(f"skinspec: {exc}", file=sys.stderr)
-        return _EXIT_SAMPLING
     except (oracle.ConvergenceError, toeplitz2.NotAnEigenvalueError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+            FloatingPointError, spectral.PointOnCurveError) as exc:
         print(f"skinspec: numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     return _EXIT_OK

@@ -8,8 +8,11 @@ symbol here is f(z) = B_-1/z + B_0 + B_1 z with
 
 so f(z) = [[alpha1, beta1 + gamma2/z], [gamma1 + beta2*z, alpha2]].  The
 determinant loop and the two eigenvalue loops of f on the unit circle carry
-the winding data; epsilon-pseudospectra of the finite matrices are computed
-from sigma_min(zI - M) via inverse Lanczos on (A^H A)^-1.  The grid points of
+the winding data.  Shifted by a real lam they are ellipses, so their windings
+(the Toeplitz index) and the minimum of |det f| are closed forms; the sampled
+curves and :func:`winding` are their reference.  Epsilon-pseudospectra of the
+finite matrices are computed from sigma_min(zI - M) via inverse Lanczos on
+(A^H A)^-1.  The grid points of
 a chunk share one block-diagonal LAPACK LU (``zgttrf``/``zgttrs``), one
 diagonal block per point: a point with a pivot below 1e-300 returns 0 at
 once, and a point whose solves overflow is solved on its own and returns 0.
@@ -37,6 +40,7 @@ __all__ = [
     "det_curve",
     "det_min_on_circle",
     "det_shifted_curve",
+    "ellipse_winding",
     "eig_curves",
     "eig_curve_union",
     "winding",
@@ -121,10 +125,10 @@ def det_symbol(params, z) -> np.ndarray:
     return params.alpha1 * params.alpha2 - _off_product(params, np.asarray(z, dtype=complex))
 
 
-def _circle(n_samples: int, loops: int = 1) -> np.ndarray:
+def _circle(n_samples: int) -> np.ndarray:
     if n_samples < _MIN_CURVE_SAMPLES:
         raise ValueError(f"need at least {_MIN_CURVE_SAMPLES} samples")
-    return np.linspace(0.0, 2.0 * math.pi * loops, n_samples * loops + 1)
+    return np.linspace(0.0, 2.0 * math.pi, n_samples + 1)
 
 
 def det_curve(params, n_samples: int = 1024) -> SymbolCurve:
@@ -146,49 +150,55 @@ def det_shifted_curve(params, lam: complex, n_samples: int = 1024) -> SymbolCurv
     return SymbolCurve(thetas, (params.alpha1 - lam) * (params.alpha2 - lam) - off, closed=True)
 
 
-def det_min_on_circle(params, n_samples: int = 4096) -> tuple[float, float]:
-    """(theta, |det f(e^{i theta})|) at the minimum modulus, refined locally.
+def _ellipse(params, d) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(t*, a, B + C, B - C) of E(t) = d - off(e^{it}) = a - (B+C) cos t - i(B-C) sin t.
 
-    Dense sampling followed by golden-section refinement of |det|^2 in the
-    bracketing interval; detects determinant zeros on the unit circle.
+    a = d - beta1*gamma1 - beta2*gamma2, B = beta1*beta2, C = gamma1*gamma2 for
+    real d.  t* in [0, pi] minimizes |E|, as |E|^2 = 4BC c^2 - 2a(B+C) c + a^2 +
+    (B-C)^2 is convex in c = cos t (BC > 0).  Evaluate |E| at t*, not by this
+    quadratic, which cancels near 0.
     """
-    from scipy.optimize import minimize_scalar
+    p = params
+    B, C = p.beta1 * p.beta2, p.gamma1 * p.gamma2
+    a = np.asarray(d, dtype=float) - p.beta1 * p.gamma1 - p.beta2 * p.gamma2
+    return np.arccos(np.clip(a * (B + C) / (4.0 * B * C), -1.0, 1.0)), a, B + C, B - C
 
-    thetas = _circle(n_samples)[:-1]
-    mods = np.abs(det_symbol(params, np.exp(1j * thetas)))
-    i = int(np.argmin(mods))
-    h = 2.0 * math.pi / n_samples
 
-    def objective(t):
-        return abs(det_symbol(params, np.exp(1j * t))) ** 2
+def ellipse_winding(params, d) -> list[int | None]:
+    """Winding numbers around 0 of d - (beta1 + gamma2/z)(gamma1 + beta2*z) over |z| = 1.
 
-    res = minimize_scalar(
-        objective, bounds=(thetas[i] - h, thetas[i] + h), method="bounded",
-        options={"xatol": 1e-14},
-    )
-    t_best = float(res.x)
-    best = math.sqrt(max(res.fun, 0.0))
-    if mods[i] < best:
-        t_best, best = float(thetas[i]), float(mods[i])
-    return t_best, best
+    The ellipse of :func:`_ellipse` winds sign((B+C)(B-C)) times when |a| < |B+C|,
+    else 0 times; None where it passes within 1e-8 of 0.  ``d = alpha1*alpha2 - lam``
+    gives the winding of :func:`det_curve` around lam, ``d = (alpha1 - lam)(alpha2 - lam)``
+    that of :func:`det_shifted_curve`: the summed eigenvalue-branch winding.
+    """
+    t, a, b_plus_c, b_minus_c = _ellipse(params, d)
+    w = np.where(np.abs(a) < abs(b_plus_c), int(np.sign(b_plus_c * b_minus_c)), 0)
+    defined = np.abs(d - _off_product(params, np.exp(1j * t))) >= _POINT_CLEARANCE
+    return np.where(defined, w, None).tolist()
+
+
+def det_min_on_circle(params) -> tuple[float, float]:
+    """(theta, |det f(e^{i theta})|) at the minimum modulus, theta in [0, pi].
+
+    det f is the ellipse of :func:`_ellipse` with d = alpha1*alpha2.
+    """
+    theta = float(_ellipse(params, params.alpha1 * params.alpha2)[0])
+    return theta, float(abs(det_symbol(params, np.exp(1j * theta))))
 
 
 def _tracked_offsets(params, thetas: np.ndarray) -> tuple[np.ndarray, bool]:
     """Continuously tracked sqrt-of-discriminant along the circle.
 
-    Returns the signed square roots and whether the two eigenvalue branches
-    swap after a full loop (odd number of sign flips).
+    Returns the signed square roots, flipping sign wherever a step lands
+    nearer the negated root, and whether the two eigenvalue branches swap
+    after a full loop: the last value is nearer -signed[0] than +signed[0].
     """
     off = _off_product(params, np.exp(1j * thetas))
     sq = np.sqrt(0.25 * (params.alpha1 - params.alpha2) ** 2 + off)
-    signed = np.empty_like(sq)
-    signed[0] = sq[0]
-    sign = 1.0
-    for i in range(1, len(sq)):
-        if abs(sign * sq[i] - signed[i - 1]) > abs(-sign * sq[i] - signed[i - 1]):
-            sign = -sign
-        signed[i] = sign * sq[i]
-    return signed, sign < 0.0
+    flips = np.abs(sq[1:] - sq[:-1]) > np.abs(sq[1:] + sq[:-1])
+    signed = sq * np.concatenate(([1.0], np.where(np.cumsum(flips) % 2, -1.0, 1.0)))
+    return signed, bool(abs(signed[-1] + signed[0]) < abs(signed[-1] - signed[0]))
 
 
 def eig_curves(params, n_samples: int = 1024) -> tuple[SymbolCurve, SymbolCurve]:
@@ -202,8 +212,11 @@ def eig_curves(params, n_samples: int = 1024) -> tuple[SymbolCurve, SymbolCurve]
     thetas = _circle(n_samples)
     half_tr = 0.5 * (params.alpha1 + params.alpha2)
     signed, swapped = _tracked_offsets(params, thetas)
-    plus = SymbolCurve(thetas, half_tr + signed, closed=not swapped)
-    minus = SymbolCurve(thetas, half_tr - signed, closed=not swapped)
+    try:
+        plus = SymbolCurve(thetas, half_tr + signed, closed=not swapped)
+        minus = SymbolCurve(thetas, half_tr - signed, closed=not swapped)
+    except ValueError:  # sqrt of a discriminant zero at z = 1 widens rounding to ~1e-8
+        raise PointOnCurveError("the eigenvalue branches meet at z = 1, the loop's start") from None
     return plus, minus
 
 
@@ -215,7 +228,6 @@ def eig_curve_union(params, n_samples: int = 1024) -> SymbolCurve:
     that winding numbers add.
     """
     plus, minus = eig_curves(params, n_samples)
-    n = len(plus.points)
     if not plus.closed:
         thetas = np.concatenate([plus.thetas[:-1], plus.thetas + 2.0 * math.pi])
         points = np.concatenate([plus.points[:-1], minus.points])
@@ -225,11 +237,6 @@ def eig_curve_union(params, n_samples: int = 1024) -> SymbolCurve:
     thetas = np.concatenate([plus.thetas, minus.thetas + 2.0 * math.pi])
     points = np.concatenate([plus.points, minus.points])
     return SymbolCurve(thetas, points, closed=False)
-
-
-def _increments(points: np.ndarray, p: complex) -> np.ndarray:
-    rel = points - p
-    return np.angle(rel[1:] / rel[:-1])
 
 
 def winding(curve: SymbolCurve, point: complex) -> int:
@@ -249,7 +256,8 @@ def winding(curve: SymbolCurve, point: complex) -> int:
         return winding(a, point) + winding(b, point)
     if np.min(np.abs(pts - point)) < _POINT_CLEARANCE:
         raise PointOnCurveError(f"point {point!r} lies on the sampled curve")
-    inc = _increments(pts, point)
+    rel = pts - point
+    inc = np.angle(rel[1:] / rel[:-1])
     if np.max(np.abs(inc)) > 0.5 * math.pi:
         raise SamplingError("insufficient sampling for winding; raise n_samples")
     total = float(np.sum(inc))

@@ -445,15 +445,15 @@ def certified_eigenvalues(T: TridiagonalMatrix) -> np.ndarray:
 
     LAPACK (dsterf) estimates on the symmetrized matrix, each certified by
     Sturm counts in a bracket of width 1e-14*max(1,|lam|) and bisected where
-    that fails.  Raises FloatingPointError when the symmetrized bands
-    overflow.
+    that fails; sorted, as overlapping brackets can misorder their midpoints.
+    Raises FloatingPointError when the symmetrized bands overflow.
     """
     with np.errstate(over="ignore"):
         S = oracle.symmetrize(T)
     if not (np.isfinite(S.diag).all() and np.isfinite(S.offdiag).all()):
         raise FloatingPointError("the symmetrized bands overflow the float range")
     guess = eigh_tridiagonal(S.diag, S.offdiag, eigvals_only=True, lapack_driver="sterf")
-    return oracle.sturm_eigenvalues(S, _EIG_TOL, guess=guess)
+    return np.sort(oracle.sturm_eigenvalues(S, _EIG_TOL, guess=guess))
 
 
 def solve_tridiagonal_eigenpairs(
@@ -550,7 +550,8 @@ def decay_report(vector: np.ndarray, params: PerturbedDimerParams) -> DecayRepor
     the cell index over the corner-free window (entries 3 .. n-3); the cell
     sup is used instead of a single interleaved subsequence so that isolated
     trigonometric zeros of one hat family do not pollute the fit.
-    ``bound_constant`` is the smallest M satisfying the bound at every index.
+    ``bound_constant`` is the smallest M satisfying the bound at every index,
+    inf when it exceeds the float range.
     """
     v = np.asarray(vector, dtype=float)
     if not np.any(v != 0.0):
@@ -560,9 +561,9 @@ def decay_report(vector: np.ndarray, params: PerturbedDimerParams) -> DecayRepor
     log_s = math.log(params.skin_rate)
 
     j = np.arange(1, n + 1, dtype=float)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         log_v = np.log(v_abs)
-    bound_constant = float(np.exp(np.max(log_v - np.log(j) - ((j - 1) // 2) * log_s)))
+        bound_constant = float(np.exp(np.max(log_v - np.log(j) - ((j - 1) // 2) * log_s)))
 
     cells = _cell_envelopes(v_abs)
     k = np.arange(len(cells))
@@ -605,9 +606,9 @@ def interface_localization_check(
     j = np.arange(1, n + 1, dtype=float)
     dist = np.abs(j - m)
     mask = dist > 0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         log_ratio = np.log(v_abs[mask]) - np.log(dist[mask]) + half_rate * dist[mask]
-    bound_constant = float(np.exp(np.max(log_ratio)))
+        bound_constant = float(np.exp(np.max(log_ratio)))  # inf beyond the float range
 
     peak_index = int(np.argmax(v_abs)) + 1
 

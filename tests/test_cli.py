@@ -1,12 +1,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from skinspec import spectral
 from skinspec.cli import _write_table, main
+from skinspec.toeplitz2 import PerturbedDimerParams
 
 
 def write_config(tmp_path, name, payload):
@@ -217,6 +223,54 @@ def test_topology_outputs(tmp_path):
     assert sum(abs(int(r["winding_eig"])) >= 1 for r in eigs) >= 0.9 * len(wrows) - 1
     summary = json.loads((out / "topology_summary.json").read_text())
     assert summary["det_min_on_circle"] <= 1e-8
+
+
+def test_topology_windings_match_fine_sampling(tmp_path):
+    # Mixed-sign bands: 4096-sample windings used to exit 4 on this matrix.
+    config = {"mode": "matrix", "alpha1": 1, "alpha2": 2, "beta1": 3, "beta2": -4,
+              "gamma1": 4, "gamma2": -5, "n": 40}
+    cfg = write_config(tmp_path, "mixed.json", config)
+    out = tmp_path / "out"
+    assert main(["topology", "--config", str(cfg), "--out", str(out),
+                 "--grid=-20,20,-10,10,16,16"]) == 0
+    params = PerturbedDimerParams(1.0, 2.0, 3.0, -4.0, 4.0, -5.0)
+    dcurve, union = spectral.det_curve(params, 2**18), spectral.eig_curve_union(params, 2**18)
+    rows = read_csv(out / "winding.csv")
+    assert len(rows) == 40
+    for r in rows:
+        lam = float(r["lambda"])
+        assert int(r["winding_det"]) == spectral.winding(dcurve, lam)
+        assert int(r["winding_eig"]) == spectral.winding(union, lam)
+
+
+def test_topology_mixed_sign_branch_swap(tmp_path, capsys):
+    # The discriminant starts on the square-root cut: the branches swap.
+    mixed = {"mode": "matrix", "alpha1": 0, "alpha2": 0, "beta1": 1, "beta2": -1,
+             "gamma1": 2, "gamma2": -3, "n": 40}
+    grid = "--grid=-5,5,-5,5,16,16"
+    cfg = write_config(tmp_path, "mixed.json", mixed)
+    assert main(["topology", "--config", str(cfg), "--out", str(tmp_path / "a"), grid]) == 0
+    assert len(read_csv(tmp_path / "a" / "eig_curves.csv")) == 2 * 4097
+    # gamma1 = 1 puts a branch point at z = 1, where the sampled loop starts.
+    cfg = write_config(tmp_path, "branch.json", dict(mixed, gamma1=1))
+    assert main(["topology", "--config", str(cfg), "--out", str(tmp_path / "b"), grid]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("skinspec: numerical failure:") and err.count("\n") == 1
+
+
+def test_topology_does_not_import_scipy_optimize(tmp_path):
+    cfg = write_config(tmp_path, "dimer.json", dict(DIMER, N=10))
+    script = (
+        "import sys; from skinspec.cli import main; "
+        "code = main(sys.argv[1:]); print(code, 'scipy.optimize' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["topology", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--grid=-1,5,-2,2,16,16"]
+    run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert run.stdout.split() == ["0", "False"]
 
 
 def test_topology_bad_eps_exit2(tmp_path):

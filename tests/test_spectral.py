@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skinspec as sk
 from skinspec.spectral import (
@@ -15,6 +17,7 @@ from skinspec.spectral import (
     det_symbol,
     eig_curve_union,
     eig_curves,
+    ellipse_winding,
     pseudospectrum,
     sigma_min,
     sigma_min_many,
@@ -22,7 +25,15 @@ from skinspec.spectral import (
     winding,
     worker_count,
 )
-from skinspec.toeplitz2 import TridiagonalMatrix, eigen_all
+from skinspec.toeplitz2 import (
+    PerturbedDimerParams,
+    TridiagonalMatrix,
+    build_perturbed,
+    certified_eigenvalues,
+    eigen_all,
+)
+
+from conftest import random_admissible
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +75,87 @@ def test_det_min_on_circle(cap_params, fig1_params):
     # generic matrix params: determinant bounded away from zero
     _, dmin_fig1 = det_min_on_circle(fig1_params)
     assert dmin_fig1 > 1e-3
+
+
+def _two_level_scan(params) -> float:
+    """min |det f| from 2^16 samples of the circle, then 2^16 around the best one."""
+    n = 2**16
+    h = 2.0 * math.pi / n
+    thetas = h * np.arange(n)
+    coarse = np.abs(det_symbol(params, np.exp(1j * thetas)))
+    t0 = thetas[np.argmin(coarse)]
+    fine = np.abs(det_symbol(params, np.exp(1j * np.linspace(t0 - h, t0 + h, n))))
+    return float(min(coarse.min(), fine.min()))
+
+
+def test_det_min_on_circle_matches_dense_scan(fig1_params):
+    rng = np.random.default_rng(5)
+    for params in [fig1_params] + [random_admissible(rng) for _ in range(60)]:
+        theta, dmin = det_min_on_circle(params)
+        scan = _two_level_scan(params)
+        scale = abs(params.beta1 * params.beta2) + abs(params.gamma1 * params.gamma2)
+        assert scan - dmin <= 1e-10 * scan
+        assert dmin - scan <= 4.0 * np.finfo(float).eps * scale
+        assert dmin == abs(det_symbol(params, np.exp(1j * theta)))
+        assert 0.0 <= theta <= math.pi
+    # Fig. 1: det f(-1) = 2 is the exact minimum.
+    assert det_min_on_circle(fig1_params) == (math.pi, 2.0)
+
+
+_MAGNITUDES = st.floats(0.3, 2.0)
+
+
+@st.composite
+def _mixed_sign_params(draw):
+    """Admissible params whose two band pairs take independent signs."""
+    s1, s2 = draw(st.sampled_from([-1.0, 1.0])), draw(st.sampled_from([-1.0, 1.0]))
+    alpha1, alpha2 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    beta1, gamma1, beta2, gamma2 = (draw(_MAGNITUDES) for _ in range(4))
+    return PerturbedDimerParams(alpha1, alpha2, s1 * beta1, s2 * beta2, s1 * gamma1, s2 * gamma2)
+
+
+def _sampled(curve_of, params, lam):
+    """Sampled winding around ``lam``, or None where it is undefined."""
+    try:
+        return winding(curve_of(params, 8192), lam)
+    except (PointOnCurveError, SamplingError):
+        return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(_mixed_sign_params(), st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=6))
+def test_ellipse_winding_matches_sampled_curves(params, points):
+    # The eigenvalues of a finite section sit on or near the curves.
+    lams = np.concatenate([points, certified_eigenvalues(build_perturbed(params, 21))])
+    p = params
+    w_det = ellipse_winding(p, p.alpha1 * p.alpha2 - lams)
+    w_eig = ellipse_winding(p, (p.alpha1 - lams) * (p.alpha2 - lams))
+    for lam, closed_det, closed_eig in zip(lams.tolist(), w_det, w_eig):
+        ref_det = _sampled(det_curve, p, lam)
+        if ref_det is not None:
+            assert closed_det == ref_det
+        ref_eig = _sampled(eig_curve_union, p, lam)
+        if ref_eig is not None:
+            assert closed_eig == ref_eig
+
+
+def test_eig_curves_never_raise_on_admissible_params():
+    # Mixed-sign symbols whose discriminant starts on the square-root cut
+    # used to get the wrong swap flag, and a closed curve with open ends.
+    rng = np.random.default_rng(17)
+    for _ in range(400):
+        params = random_admissible(rng, with_corners=False)
+        plus, minus = eig_curves(params, 1024)
+        assert plus.closed == minus.closed
+        union = eig_curve_union(params, 1024)
+        assert union.closed != plus.closed
+
+
+def test_eig_curves_branch_point_at_loop_start():
+    # det(f - lam I) has a double root at z = 1: the ends cannot be matched.
+    params = PerturbedDimerParams(0.0, 0.0, 1.0, -1.0, 1.0, -3.0)
+    with pytest.raises(PointOnCurveError):
+        eig_curves(params, 1024)
 
 
 def test_eig_curves_identities(cap_params):

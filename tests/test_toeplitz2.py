@@ -14,6 +14,7 @@ from skinspec.toeplitz2 import (
     bracket_report,
     build_interface,
     build_perturbed,
+    certified_eigenvalues,
     char_poly,
     decay_report,
     eigen_all,
@@ -242,6 +243,14 @@ def test_decay_report_flags_constant_vector(dimer_chain_50):
         decay_report(np.zeros(10), params)
 
 
+def test_decay_report_bound_beyond_float_range():
+    # s^-(j-1)/2 overflows for a flat vector at gamma*ell = 14, N = 120.
+    params = sk.dimer_coefficients(sk.ResonatorChain.dimer(120, gamma=14.0))
+    rep = decay_report(np.ones(120), params)
+    assert rep.bound_constant == math.inf
+    assert not rep.satisfied
+
+
 def test_decay_report_dimer_modes(dimer_chain_50):
     params = sk.dimer_coefficients(dimer_chain_50)
     for q in eigen_all(params, 50):
@@ -269,6 +278,20 @@ def test_interface_check_flags_flat_vector():
     assert not rep.satisfied
     with pytest.raises(ValueError):
         interface_localization_check(np.ones(10), 9, 1.0)
+
+
+def test_interface_check_bound_beyond_float_range():
+    # exp(gamma*ell*d/2) overflows for a flat vector at gamma*ell = 40.
+    rep = interface_localization_check(np.ones(90), 45, 40.0)
+    assert rep.bound_constant == math.inf
+    assert not rep.satisfied
+
+
+def test_certified_eigenvalues_ascending_on_strong_interface():
+    # Adjacent certified brackets overlap here; their midpoints used to descend.
+    lams = certified_eigenvalues(sk.generalized_matrix(sk.interface_chain(160, 16.0)))
+    assert len(lams) == 160
+    assert np.all(np.diff(lams) >= 0.0)
 
 
 def _interface_check_reference(v: np.ndarray, m: int, gamma_ell: float) -> DecayReport:
