@@ -9,20 +9,26 @@ or a resonator chain:
   reports, and (chain modes) spatial profiles,
 * ``topology``  - symbol curves, winding table and pseudospectrum grid.
 
-Outputs are deterministic: fixed row order, shortest round-trip float
-formatting, LF line endings.  Exit codes: 0 ok, 2 config error, 3 numerical
-failure.
+Only ``modes`` computes eigenvectors; ``spectrum`` and ``topology`` need the
+certified eigenvalues alone.  Outputs are deterministic: fixed row order,
+shortest round-trip float formatting, LF line endings.  They are all or
+nothing: a command writes into a staging directory and moves its files into
+``--out`` only when it succeeds.  Exit codes: 0 ok, 2 config error, 3
+numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
 import math
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -280,7 +286,6 @@ def _write_json(cfg: RunConfig, stem: str, payload) -> Path:
 @dataclass
 class _Problem:
     matrix: toeplitz2.TridiagonalMatrix
-    pairs: list[toeplitz2.Eigenpair]
     params: toeplitz2.PerturbedDimerParams | None  # classification params
     chain: capacitance.ResonatorChain | None
     interface_site: int | None
@@ -297,12 +302,11 @@ def _solve(cfg: RunConfig) -> _Problem:
         try:
             base = capacitance.dimer_coefficients(half)
         except ValueError:
-            pass  # not a dimer chain: pairs stay unclassified
+            pass  # not a dimer chain: eigenvalues stay unclassified
         else:
             params = base.divided(float(chain.lengths[0]))
-    pairs = toeplitz2.solve_tridiagonal_eigenpairs(matrix, params)
     site = chain.size // 2 if cfg.mode == "interface" else None
-    return _Problem(matrix, pairs, params, chain, site)
+    return _Problem(matrix, params, chain, site)
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +317,14 @@ def _solve(cfg: RunConfig) -> _Problem:
 def cmd_spectrum(cfg: RunConfig) -> list[Path]:
     """Eigenvalue table: index, lambda, mu, klass, theta (+ omega for chains)."""
     prob = _solve(cfg)
-    lams = np.array([p.lam for p in prob.pairs])
+    lams = toeplitz2.certified_eigenvalues(prob.matrix)
+    mus, thetas, klasses = toeplitz2.classify(prob.params, lams)
     columns = {
         "index": np.arange(len(lams)),
         "lambda": lams,
-        "mu": [p.mu for p in prob.pairs],
-        "klass": [p.klass for p in prob.pairs],
-        "theta": [p.theta for p in prob.pairs],
+        "mu": mus,
+        "klass": klasses,
+        "theta": thetas,
     }
     if prob.chain is not None:
         clamped, omegas = capacitance.subwavelength_omegas(prob.chain, lams)
@@ -330,7 +335,8 @@ def cmd_spectrum(cfg: RunConfig) -> list[Path]:
 def cmd_modes(cfg: RunConfig) -> list[Path]:
     """Eigenvectors with residuals, decay/localization reports, profiles."""
     prob = _solve(cfg)
-    pairs, n = prob.pairs, prob.matrix.order
+    pairs = toeplitz2.solve_tridiagonal_eigenpairs(prob.matrix, prob.params)
+    n = prob.matrix.order
     index = np.arange(len(pairs))[:, None]
     modes = {
         "index": index,
@@ -387,6 +393,7 @@ def cmd_topology(cfg: RunConfig) -> list[Path]:
             "topology needs 2-Toeplitz structure (matrix mode or a dimer chain)"
         )
     params = prob.params
+    lams = toeplitz2.certified_eigenvalues(prob.matrix)
     written = []
 
     dcurve = spectral.det_curve(params, cfg.samples)
@@ -403,7 +410,6 @@ def cmd_topology(cfg: RunConfig) -> list[Path]:
     written.append(_write_table(cfg, "eig_curves", eig))
 
     # det f - lam winds as det f does around lam; det(f - lam I) as both branches do.
-    lams = np.array([p.lam for p in prob.pairs])
     a1, a2 = params.alpha1, params.alpha2
     w_det = spectral.ellipse_winding(params, a1 * a2 - lams)
     winding = {
@@ -464,11 +470,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_staged(command, cfg: RunConfig) -> list[Path]:
+    """Run ``command`` into a staging directory inside ``cfg.out_dir``.
+
+    Its files move into ``cfg.out_dir`` only when it returns, so a command
+    that fails adds no file there (nor the directory, if it was created for
+    the run).
+    """
+    out = cfg.out_dir
+    created = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    written = []
+    try:
+        written = [p.replace(out / p.name) for p in command(replace(cfg, out_dir=staging))]
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+        if created and not written:
+            with contextlib.suppress(OSError):  # something else wrote there
+                out.rmdir()
+    return written
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.out, args)
-        args.func(cfg)
+        _run_staged(args.func, cfg)
     except ConfigError as exc:
         print(f"skinspec: config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -29,6 +29,8 @@ __all__ = [
 
 # Sturm pivots are floored at this magnitude to avoid division blowup.
 _PIVMIN = 1e-300
+# Pivots one block of a Sturm count sweep holds (rows times shifts, 256 KiB).
+_SWEEP_BLOCK = 1 << 15
 
 _MAX_BISECTION_ROUNDS = 200
 _MAX_INVERSE_ITERATIONS = 50
@@ -73,16 +75,53 @@ def symmetrize(T) -> SymTridiagonal:
 
 
 def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues below each shift in ``xs`` (vectorized)."""
+    """Number of eigenvalues below each shift in ``xs`` (vectorized).
+
+    The pivots q_i = (d_i - x) - e_{i-1}**2 / q_{i-1} fill a block of rows at
+    a time, two ufunc calls per row, so a sweep over a few shifts costs a
+    third or less of one that floors every row.  A block is checked once for
+    pivots below _PIVMIN in magnitude (in practice exact zeros) and only then
+    recomputed row by row with each pivot floored to -_PIVMIN as it is
+    formed, so the counts are bit for bit those of flooring every row.  The
+    unfloored pass raises no floating-point warnings.
+    """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    q = diag[0] - xs
-    np.copyto(q, -_PIVMIN, where=np.abs(q) < _PIVMIN)
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, len(diag)):
-        q = diag[i] - xs - off_sq[i - 1] / q
-        np.copyto(q, -_PIVMIN, where=np.abs(q) < _PIVMIN)
-        count += q < 0.0
+    n, m = len(diag), len(xs)
+    off = off_sq.tolist()
+    rows = max(1, min(n, _SWEEP_BLOCK // max(m, 1)))
+    buf, ratio, prev = np.empty((rows, m)), np.empty(m), np.empty(m)
+    count = np.zeros(m, dtype=np.int64)
+    divide, subtract = np.divide, np.subtract
+    for start in range(0, n, rows):
+        block = buf[: min(rows, n - start)]
+        np.subtract.outer(diag[start : start + len(block)], xs, out=block)
+        pending = iter(block)
+        q = prev if start else next(pending)
+        # A zero pivot divides by zero here, and the block is redone below.
+        with np.errstate(all="ignore"):
+            for row, e2 in zip(pending, off[max(start - 1, 0) : start + len(block) - 1]):
+                divide(e2, q, ratio)
+                subtract(row, ratio, row)
+                q = row
+        if (np.abs(block) < _PIVMIN).any():
+            block[:] = _sturm_counts_floored(diag, off_sq, xs, start, len(block), prev)
+        count += (block < 0.0).sum(axis=0)
+        np.copyto(prev, block[-1])
     return count
+
+
+def _sturm_counts_floored(diag, off_sq, xs, start: int, rows: int, prev) -> np.ndarray:
+    """Pivots of rows ``start`` to ``start + rows``, each floored as it is formed.
+
+    ``prev`` holds the floored pivots of row ``start - 1``.
+    """
+    q = prev
+    out = np.empty((rows, len(xs)))
+    for i, row in enumerate(out, start):
+        row[:] = diag[i] - xs - off_sq[i - 1] / q if i else diag[0] - xs
+        np.copyto(row, -_PIVMIN, where=np.abs(row) < _PIVMIN)
+        q = row
+    return out
 
 
 def sturm_count(S: SymTridiagonal, x: float) -> int:
@@ -109,13 +148,22 @@ def _certified_brackets(
     tol: float,
     glo: float,
     ghi: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """Sturm-certified brackets [lo, hi) around eigenvalue estimates ``guess``.
 
     Bracket k starts at guess[k] +- tol*max(1,|guess[k]|)/2 and holds the k-th
-    eigenvalue exactly when count(lo) <= k < count(hi).  Brackets that fail
-    the test are widened by 16x per count sweep and clipped to the Gershgorin
-    interval, where the test always holds.  Returns (lo, hi, widened).
+    eigenvalue exactly when count(lo) <= k < count(hi).  A bracket that fails
+    the test is widened 16x at a time, clipped to the Gershgorin interval,
+    and the first width that passes is kept.  A count sweep tests as many
+    widths of each failed lane as fit in 2n shifts, so a few failed lanes
+    test their whole ladder, up to the Gershgorin ends, at once.  The test
+    holds at the ends unless the counts are broken (then ConvergenceError).
+
+    A sweep that tests a ladder also evaluates, in the shifts left over, the
+    bisection tree (see :func:`_tree_midpoints`) of each lane's first width,
+    where almost every failed lane passes.  Returns (lo, hi, widened,
+    levels): ``levels`` holds that tree's counts when it serves every widened
+    lane, and is empty otherwise.
     """
     n = len(diag)
     guess = np.asarray(guess, dtype=float)
@@ -128,17 +176,81 @@ def _certified_brackets(
     # Non-finite estimates carry no information: always bisect those lanes.
     widened = ~np.isfinite(guess)
     while len(todo):
-        # fmax/fmin send non-finite estimates straight to the Gershgorin ends.
-        a = np.fmax(guess[todo] - half[todo], glo)
-        b = np.fmin(guess[todo] + half[todo], ghi)
-        counts = _sturm_counts(diag, off_sq, np.concatenate([a, b]))
-        ok = (counts[: len(todo)] <= todo) & (todo < counts[len(todo) :])
-        lo[todo[ok]] = a[ok]
-        hi[todo[ok]] = b[ok]
-        todo = todo[~ok]
+        # Rung j of a lane is its current bracket widened 16**j times; take as
+        # many rungs as fit in 2n shifts, up to the one where every lane
+        # reaches both Gershgorin ends.
+        g, h = guess[todo], half[todo]
+        rungs = []
+        while len(rungs) < n // len(todo) and not (rungs and rungs[-1][2].all()):
+            # fmax/fmin send non-finite estimates straight to the Gershgorin ends.
+            with np.errstate(invalid="ignore", over="ignore"):
+                a, b = np.fmax(g - h, glo), np.fmin(g + h, ghi)
+                rungs.append((a, b, (a <= glo) & (b >= ghi)))
+                h = h * 16.0
+        a, b, at_ends = (np.stack(r, axis=1) for r in zip(*rungs))
+        tested = np.ones_like(at_ends)
+        tested[:, 1:] = ~at_ends[:, :-1]  # a lane reaches the ends for good
+        lane = np.broadcast_to(todo[:, None], a.shape)[tested]
+        rounds = _rounds_per_sweep(a[:, 0], b[:, 0], tol, 2 * (n - len(lane)))
+        mids = _tree_midpoints(a[:, 0], b[:, 0], rounds)
+        counts = _sturm_counts(
+            diag, off_sq, np.concatenate([a[tested], b[tested]] + [m.ravel() for m in mids])
+        )
+        ok = np.zeros_like(tested)
+        ok[tested] = (counts[: len(lane)] <= lane) & (lane < counts[len(lane) : 2 * len(lane)])
+        found = ok.any(axis=1)
+        if np.any(~found & at_ends[:, -1]):
+            raise ConvergenceError("Sturm counts fail certification at the Gershgorin ends")
+        first = np.argmax(ok[found], axis=1)
+        lo[todo[found]] = a[found, first]
+        hi[todo[found]] = b[found, first]
+        # The tree serves the bisection when it covers every lane left to bisect.
+        serves = found.all() and not first.any() and widened.sum() == len(todo)
+        todo = todo[~found]
         widened[todo] = True
-        half[todo] *= 16.0
-    return lo, hi, widened
+        half[todo] = h[~found]
+    levels = _split_levels(counts[2 * len(lane) :], mids) if rounds and serves else []
+    return lo, hi, widened, levels
+
+
+def _tree_midpoints(lo, hi, rounds: int) -> list[np.ndarray]:
+    """Midpoints of the next ``rounds`` bisection rounds of the brackets [lo, hi).
+
+    Returns one (lanes, 2**j) array for each round j: the midpoints of the
+    2**j brackets that j rounds can reach, left to right.  Each is
+    0.5*(lo + hi) of the bracket it halves, as a round forms it.
+    """
+    tlo, thi = lo[:, None], hi[:, None]
+    mids = []
+    for _ in range(rounds):
+        mid = 0.5 * (tlo + thi)
+        mids.append(mid)
+        tlo = np.stack([tlo, mid], axis=2).reshape(len(lo), -1)
+        thi = np.stack([mid, thi], axis=2).reshape(len(lo), -1)
+    return mids
+
+
+def _split_levels(counts: np.ndarray, mids: list[np.ndarray]) -> list[np.ndarray]:
+    """Counts at the concatenated, raveled ``mids``, one array shaped like each."""
+    ends = np.cumsum([m.size for m in mids])
+    return [c.reshape(m.shape) for c, m in zip(np.split(counts, ends[:-1]), mids)]
+
+
+def _rounds_per_sweep(lo, hi, tol: float, shifts: int) -> int:
+    """Bisection rounds a count sweep with room for ``shifts`` midpoints serves.
+
+    As many as the widest bracket [lo, hi) still needs, with a margin for the
+    rounding of the midpoints, but no more than keep the 2**r - 1 tree
+    midpoints of every lane within ``shifts``.  A sweep of 2n shifts, the
+    size of the certification sweep, serves one round while all n lanes are
+    active.
+    """
+    cap = int(np.log2(shifts // len(lo) + 1))
+    if cap == 0:
+        return 0
+    target = tol * np.maximum(1.0, np.minimum(np.abs(lo), np.abs(hi)))
+    need = int(np.log2(max(1.1 * np.max((hi - lo) / target), 1.0))) + 1
+    return min(need, cap)
 
 
 def sturm_eigenvalues(
@@ -153,6 +265,16 @@ def sturm_eigenvalues(
     on a bracket of width tol*max(1,|guess|) around it; a certified bracket
     is kept as it is (its width meets the target up to rounding), and only
     the lanes that fail are widened and then bisected.
+
+    One count sweep serves the next r rounds: it evaluates every midpoint
+    those rounds can reach (the 2**r - 1 nodes of each active lane's
+    bisection tree), and the rounds then run on those counts with their
+    usual stopping tests, so the result is bit for bit that of one sweep
+    per round.  r is what the widest bracket still needs, capped so that a
+    sweep holds at most 2n shifts; with all n lanes active, as without
+    ``guess``, r is 1.  The sweep that widens the failed lanes also serves
+    their first rounds when they all pass at their first new width, so a
+    few failed lanes usually cost one sweep beyond the certification sweep.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -165,23 +287,36 @@ def sturm_eigenvalues(
         lo = np.full(n, glo)
         hi = np.full(n, ghi)
         active = np.ones(n, dtype=bool)
+        levels = []
     else:
-        lo, hi, active = _certified_brackets(S.diag, off_sq, guess, tol, glo, ghi)
+        lo, hi, active, levels = _certified_brackets(S.diag, off_sq, guess, tol, glo, ghi)
     k = np.arange(n)
 
+    # Lanes idx bisect on the tree counts in levels, which the last sweep
+    # evaluated for them; live marks those still short of their target.
+    idx = np.flatnonzero(active)
+    live = np.ones(len(idx), dtype=bool)
+    node = np.zeros(len(idx), dtype=np.int64)  # each lane's bracket in its level
     for _ in range(_MAX_BISECTION_ROUNDS):
-        mid = 0.5 * (lo + hi)
+        a, b = lo[idx], hi[idx]
+        mid = 0.5 * (a + b)
         # Stop a bracket when it reaches the target width or float resolution.
-        width_ok = (hi - lo) < tol * np.maximum(1.0, np.abs(mid))
-        stuck = (mid <= lo) | (mid >= hi)
-        active &= ~(width_ok | stuck)
-        if not active.any():
+        live &= ~(((b - a) < tol * np.maximum(1.0, np.abs(mid))) | (mid <= a) | (mid >= b))
+        if not live.any():
             return 0.5 * (lo + hi)
-        counts = _sturm_counts(S.diag, off_sq, mid[active])
-        below = counts <= k[active]
-        idx = np.flatnonzero(active)
-        lo[idx[below]] = mid[idx[below]]
-        hi[idx[~below]] = mid[idx[~below]]
+        if not levels:
+            idx, mid = idx[live], mid[live]
+            r = _rounds_per_sweep(lo[idx], hi[idx], tol, 2 * n)
+            mids = _tree_midpoints(lo[idx], hi[idx], r)
+            levels = _split_levels(
+                _sturm_counts(S.diag, off_sq, np.concatenate([m.ravel() for m in mids])), mids
+            )
+            live = np.ones(len(idx), dtype=bool)
+            node = np.zeros(len(idx), dtype=np.int64)
+        below = levels.pop(0)[np.arange(len(idx)), node] <= k[idx]
+        node = 2 * node + below
+        lo[idx[live & below]] = mid[live & below]
+        hi[idx[live & ~below]] = mid[live & ~below]
     raise ConvergenceError("Sturm bisection did not converge")
 
 

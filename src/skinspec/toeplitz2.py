@@ -7,11 +7,14 @@ entry) and ``b`` (last).  Under the standing assumption
 in closed form by interleaving the two hat sequences of :mod:`.polycore`,
 scaled by powers of the skin rate ``s = sqrt(gamma1*gamma2/(beta1*beta2))``.
 
-:func:`solve_tridiagonal_eigenpairs` is the one eigenpair pipeline, for any
-symmetrizable tridiagonal matrix: certified LAPACK eigenvalues, closed-form
-vectors whenever the given parameters reproduce the matrix (abstract perturbed
-dimer matrices and dimer resonator chains alike), inverse iteration otherwise.
-:func:`eigen_all` is that pipeline on ``build_perturbed(params, n)``.
+:func:`certified_eigenvalues` gives the Sturm-certified eigenvalues of any
+symmetrizable tridiagonal matrix, and :func:`classify` their bulk or
+exceptional class from mu = y(lambda); callers that publish eigenvalues only
+need nothing else.  :func:`solve_tridiagonal_eigenpairs` is the one eigenpair
+pipeline on top of them: closed-form vectors whenever the given parameters
+reproduce the matrix (abstract perturbed dimer matrices and dimer resonator
+chains alike), inverse iteration otherwise.  :func:`eigen_all` is that
+pipeline on ``build_perturbed(params, n)``.
 
 The module also builds the mirrored interface matrix (two half-chains glued
 by a gamma2 coupling) and provides the decay / localization reports that
@@ -40,6 +43,7 @@ __all__ = [
     "build_interface",
     "certified_eigenvalues",
     "char_poly",
+    "classify",
     "eigen_all",
     "eigenvector_exact",
     "mirrored_eigenvector",
@@ -417,13 +421,19 @@ def mirrored_eigenvector(params: PerturbedDimerParams, n: int, lam: float) -> np
     return vec
 
 
-def _classify(params: PerturbedDimerParams | None, lam: float):
+def classify(params: PerturbedDimerParams | None, lams) -> tuple[list, list, list[str]]:
+    """(mu, theta, klass) lists for eigenvalues ``lams``, from mu = y(lam).
+
+    ``klass`` is bulk where |mu| <= 1 + 1e-10, with theta = arccos(mu)
+    (mu clipped to [-1, 1]), and exceptional elsewhere, with theta None.
+    Without ``params`` every eigenvalue is unclassified, mu and theta None.
+    """
     if params is None:
-        return None, None, "unclassified"
-    mu = float(y_map(params, lam))
-    if abs(mu) <= 1.0 + _BULK_TOL:
-        return mu, math.acos(min(1.0, max(-1.0, mu))), "bulk"
-    return mu, None, "exceptional"
+        return [None] * len(lams), [None] * len(lams), ["unclassified"] * len(lams)
+    mus = y_map(params, np.asarray(lams, dtype=float)).tolist()
+    bulk = [abs(mu) <= 1.0 + _BULK_TOL for mu in mus]
+    thetas = [math.acos(min(1.0, max(-1.0, mu))) if b else None for mu, b in zip(mus, bulk)]
+    return mus, thetas, ["bulk" if b else "exceptional" for b in bulk]
 
 
 def eigen_all(params: PerturbedDimerParams, n: int) -> list[Eigenpair]:
@@ -489,7 +499,7 @@ def _pair_up(T, lams, params, exact=None, exact_res=None):
     pairs: list[Eigenpair] = []
     cluster: list[np.ndarray] = []
     cluster_lam = None
-    for i, lam in enumerate(lams):
+    for i, (lam, mu, theta, klass) in enumerate(zip(lams, *classify(params, lams))):
         scale = max(1.0, abs(lam))
         if cluster_lam is None or abs(lam - cluster_lam) > _CLUSTER_RTOL * scale:
             cluster = []
@@ -511,7 +521,6 @@ def _pair_up(T, lams, params, exact=None, exact_res=None):
             vec = oracle.inverse_iteration_vector(T, lam, orthogonal_to=cluster)
             res = float(np.max(np.abs(T.matvec(vec) - lam * vec)))
             method = "inverse_iteration"
-        mu, theta, klass = _classify(params, lam)
         pairs.append(
             Eigenpair(
                 lam=float(lam),

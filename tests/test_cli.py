@@ -9,8 +9,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from skinspec import spectral
+from skinspec import cli, spectral, toeplitz2
+from skinspec.capacitance import ResonatorChain, generalized_matrix, interface_chain
 from skinspec.cli import _write_table, main
 from skinspec.toeplitz2 import PerturbedDimerParams
 
@@ -418,3 +420,99 @@ def test_write_table_rejects_mixed_dimensions(tmp_path):
             with pytest.raises(ValueError):
                 _write_table(SimpleNamespace(out_dir=tmp_path, fmt=fmt), "t", columns)
     assert not list(tmp_path.iterdir())
+
+
+def _cell(value):
+    """A value as its CSV cell: empty for None, true/false for booleans, else repr."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
+
+
+def _column(rows, name):
+    return [r[name] for r in rows]
+
+
+@pytest.mark.parametrize("config", [FIG1, DIMER, INTERFACE], ids=["fig1", "dimer", "interface"])
+def test_spectrum_and_topology_compute_no_eigenvectors(tmp_path, monkeypatch, config):
+    # Both commands publish eigenvalues only; their columns must still equal
+    # the ones derived from the eigenpairs that modes computes.
+    path = write_config(tmp_path, "config.json", config)
+    options = SimpleNamespace(grid=None, eps=None, samples=None, format="csv")
+    prob = cli._solve(cli.load_config(path, tmp_path / "unused", options))
+    pairs = toeplitz2.solve_tridiagonal_eigenpairs(prob.matrix, prob.params)
+
+    def no_eigenpairs(*args, **kwargs):
+        raise AssertionError("spectrum and topology must not build eigenpairs")
+
+    monkeypatch.setattr(toeplitz2, "solve_tridiagonal_eigenpairs", no_eigenpairs)
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    rows = read_csv(tmp_path / "s" / "spectrum.csv")
+    for name, attr in (("lambda", "lam"), ("mu", "mu"), ("klass", "klass"), ("theta", "theta")):
+        assert _column(rows, name) == [_cell(getattr(p, attr)) for p in pairs]
+
+    grid = "--grid=-1,5,-2,2,16,16"
+    assert main(["topology", "--config", str(path), "--out", str(tmp_path / "t"), grid]) == 0
+    rows = read_csv(tmp_path / "t" / "winding.csv")
+    lams = np.array([p.lam for p in pairs])
+    a1, a2 = prob.params.alpha1, prob.params.alpha2
+    w_det = spectral.ellipse_winding(prob.params, a1 * a2 - lams)
+    w_eig = spectral.ellipse_winding(prob.params, (a1 - lams) * (a2 - lams))
+    assert _column(rows, "lambda") == [_cell(p.lam) for p in pairs]
+    assert _column(rows, "winding_det") == [_cell(w) for w in w_det]
+    assert _column(rows, "winding_det_defined") == [_cell(w is not None) for w in w_det]
+    assert _column(rows, "winding_eig") == [_cell(w) for w in w_eig]
+
+
+@pytest.mark.parametrize("mode, n", [("chain", 120), ("interface", 160)])
+@pytest.mark.parametrize("gamma", [16.0, 28.0])
+def test_strong_skin_spectrum_and_topology_exit0(tmp_path, mode, n, gamma):
+    # At gamma*ell >= 16 the eigenvectors are refused (modes still exits 3),
+    # but the certified eigenvalues are right: spectrum and topology succeed.
+    config = dict(DIMER, mode=mode, N=n, gamma=gamma)
+    path = write_config(tmp_path, "strong.json", config)
+    if mode == "chain":
+        chain = ResonatorChain(np.ones(n), np.resize([1.0, 2.0], n - 1), np.full(n, gamma),
+                               delta=1e-3, v=1.0, v_b=1.0)
+    else:
+        chain = interface_chain(n, gamma, ell=1.0, s1=1.0, s2=2.0, delta=1e-3, v=1.0, v_b=1.0)
+    G = generalized_matrix(chain)
+    ref = eigh_tridiagonal(G.diag, np.sqrt(G.upper * G.lower), eigvals_only=True,
+                           lapack_driver="stebz")
+    tol = 1e-10 * np.maximum(1.0, np.abs(ref))
+
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    lams = np.array([float(r["lambda"]) for r in read_csv(tmp_path / "s" / "spectrum.csv")])
+    assert np.all(np.abs(lams - ref) <= tol)
+
+    pad = float(0.25 * (ref[-1] - ref[0] + 1.0))
+    grid = f"--grid={ref[0] - pad},{ref[-1] + pad},{-pad},{pad},16,16"
+    assert main(["topology", "--config", str(path), "--out", str(tmp_path / "t"), grid]) == 0
+    lams = np.array([float(r["lambda"]) for r in read_csv(tmp_path / "t" / "winding.csv")])
+    assert np.all(np.abs(lams - ref) <= tol)
+
+
+def test_failed_command_adds_no_file(tmp_path):
+    # A branch point at z = 1 makes topology exit 3 after det_curve.csv is done.
+    branch = {"mode": "matrix", "alpha1": 0, "alpha2": 0, "beta1": 1, "beta2": -1,
+              "gamma1": 1, "gamma2": -3, "n": 40}
+    cfg = write_config(tmp_path, "branch.json", branch)
+    grid = "--grid=-5,5,-5,5,16,16"
+    fresh = tmp_path / "fresh"
+    assert main(["topology", "--config", str(cfg), "--out", str(fresh), grid]) == 3
+    assert not fresh.exists()
+
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "spectrum.csv").write_text("earlier run\n")
+    assert main(["topology", "--config", str(cfg), "--out", str(kept), grid]) == 3
+    assert [p.name for p in kept.iterdir()] == ["spectrum.csv"]
+    assert (kept / "spectrum.csv").read_text() == "earlier run\n"
+
+    # A command that succeeds replaces the file and leaves no staging directory.
+    fig1 = write_config(tmp_path, "fig1.json", FIG1)
+    assert main(["spectrum", "--config", str(fig1), "--out", str(kept)]) == 0
+    assert [p.name for p in kept.iterdir()] == ["spectrum.csv"]
+    assert len(read_csv(kept / "spectrum.csv")) == 101

@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from skinspec import oracle
-from skinspec.toeplitz2 import TridiagonalMatrix, build_perturbed, eigenvector_exact
+from skinspec.toeplitz2 import (
+    PerturbedDimerParams,
+    TridiagonalMatrix,
+    build_perturbed,
+    eigenvector_exact,
+)
 from skinspec.capacitance import ResonatorChain, gauge_capacitance
 
 from conftest import random_admissible
@@ -158,3 +165,146 @@ def test_inverse_iteration_stall_message_plain_float():
         oracle.inverse_iteration_vector(T, np.float64(10.0))
     assert "lambda=10.0" in str(err.value)
     assert "np.float64" not in str(err.value)
+
+
+def _reference_sturm_eigenvalues(S, tol, guess=None):
+    """The per-round loop: one count sweep per widening step and per bisection round."""
+    n = S.order
+    off_sq = S.offdiag**2
+    glo, ghi = oracle._gershgorin(S)
+    lo, hi = np.full(n, glo), np.full(n, ghi)
+    active = np.ones(n, dtype=bool)
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
+        half = 0.5 * tol * np.maximum(1.0, np.abs(guess))
+        todo = np.arange(n)
+        active = ~np.isfinite(guess)
+        while len(todo):
+            with np.errstate(invalid="ignore", over="ignore"):
+                a = np.fmax(guess[todo] - half[todo], glo)
+                b = np.fmin(guess[todo] + half[todo], ghi)
+            counts = oracle._sturm_counts(S.diag, off_sq, np.concatenate([a, b]))
+            ok = (counts[: len(todo)] <= todo) & (todo < counts[len(todo) :])
+            lo[todo[ok]] = a[ok]
+            hi[todo[ok]] = b[ok]
+            todo = todo[~ok]
+            active[todo] = True
+            half[todo] *= 16.0
+    k = np.arange(n)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        width_ok = (hi - lo) < tol * np.maximum(1.0, np.abs(mid))
+        stuck = (mid <= lo) | (mid >= hi)
+        active &= ~(width_ok | stuck)
+        if not active.any():
+            return mid
+        counts = oracle._sturm_counts(S.diag, off_sq, mid[active])
+        below = counts <= k[active]
+        idx = np.flatnonzero(active)
+        lo[idx[below]] = mid[idx[below]]
+        hi[idx[~below]] = mid[idx[~below]]
+    raise oracle.ConvergenceError("Sturm bisection did not converge")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    kind=st.sampled_from(["random", "dimer", "clustered"]),
+    guess_kind=st.sampled_from(["none", "lapack", "relative", "absolute", "shifted"]),
+    holes=st.sampled_from([(), (np.nan,), (np.inf, -np.inf), (np.nan, np.inf, -np.inf)]),
+)
+def test_sturm_speculative_rounds_match_reference_loop(seed, n, kind, guess_kind, holes):
+    # A sweep that serves several rounds, and one that tests a whole widening
+    # ladder, must reproduce the per-round loop bit for bit.
+    rng = np.random.default_rng(seed)
+    if kind == "dimer" and n >= 2:
+        S = oracle.symmetrize(build_perturbed(random_admissible(rng), n))
+    else:
+        off = rng.uniform(0.1, 2.0, n - 1)
+        if kind == "clustered":  # nearly decoupled blocks: eigenvalues in tight clusters
+            off[rng.random(n - 1) < 0.5] *= 1e-9
+        S = oracle.SymTridiagonal(rng.normal(size=n), off)
+    tol = 1e-14
+    guess = None
+    if guess_kind != "none":
+        guess = eigh_tridiagonal(S.diag, S.offdiag, eigvals_only=True)
+        if guess_kind == "relative":
+            guess = guess * (1.0 + 1e-13 * rng.normal(size=n))
+        elif guess_kind == "absolute":
+            guess = guess + 1e-9 * rng.normal(size=n)
+        elif guess_kind == "shifted":  # off by about a gap: some lanes climb the whole ladder
+            guess = guess + rng.uniform(-1.0, 1.0, size=n) * rng.choice([0.0, 1e-3, 1.0], size=n)
+        for value in holes:
+            guess[rng.random(n) < 0.2] = value
+    expect = _reference_sturm_eigenvalues(S, tol, guess)
+    got = oracle.sturm_eigenvalues(S, tol, guess=guess)
+    assert got.tobytes() == expect.tobytes()
+
+
+# Seeded matrix-spectrum workload, seed 1, order 1400 (negative sign pattern).
+NEG_N1400 = PerturbedDimerParams(
+    alpha1=1.276683114342298, alpha2=2.1130033010530402,
+    beta1=-3.4172977047909026, beta2=-3.539592876664203,
+    gamma1=-4.028589263260022, gamma2=-4.959335882885403,
+    a=7.249398316599502, b=-9.5653126765575,
+)
+
+
+def test_sturm_guess_path_makes_at_most_two_sweeps(monkeypatch):
+    # The per-round loop sweeps 7 times here: 2,800 shifts, then 10, 5, 5, 5,
+    # 5 and 1 for the few lanes whose LAPACK estimate misses its bracket.  The
+    # sweep that widens those lanes also serves all their bisection rounds.
+    S = oracle.symmetrize(build_perturbed(NEG_N1400, 1400))
+    guess = eigh_tridiagonal(S.diag, S.offdiag, eigvals_only=True, lapack_driver="sterf")
+    sweeps = []
+    counts = oracle._sturm_counts
+
+    def counted(diag, off_sq, xs):
+        sweeps.append(len(xs))
+        return counts(diag, off_sq, xs)
+
+    monkeypatch.setattr(oracle, "_sturm_counts", counted)
+    got = oracle.sturm_eigenvalues(S, 1e-14, guess=guess)
+    assert len(sweeps) <= 2 and max(sweeps) <= 2 * 1400
+    assert got.tobytes() == _reference_sturm_eigenvalues(S, 1e-14, guess).tobytes()
+
+
+def _reference_sturm_counts(diag, off_sq, xs):
+    """Counts with every pivot floored as it is formed, one row at a time."""
+    q = diag[0] - xs
+    np.copyto(q, -oracle._PIVMIN, where=np.abs(q) < oracle._PIVMIN)
+    count = (q < 0.0).astype(np.int64)
+    for i in range(1, len(diag)):
+        q = diag[i] - xs - off_sq[i - 1] / q
+        np.copyto(q, -oracle._PIVMIN, where=np.abs(q) < oracle._PIVMIN)
+        count += q < 0.0
+    return count
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 120),
+    shifts=st.sampled_from([1, 7, 300, 5000]),
+    kind=st.sampled_from(["random", "integer", "tiny"]),
+)
+def test_sturm_counts_match_floored_rows(seed, n, shifts, kind):
+    # Integer bands with zero couplings and half-integer shifts hit exact zero
+    # pivots, which the blocked sweep must floor as the row-by-row one does;
+    # 5000 shifts split the rows over several blocks.
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        diag, off_sq = rng.normal(size=n), rng.normal(size=n - 1) ** 2
+    elif kind == "integer":
+        diag = rng.integers(-2, 3, size=n).astype(float)
+        off_sq = rng.integers(0, 3, size=n - 1) * 0.25
+    else:  # pivots down at the floor's magnitude
+        diag, off_sq = rng.normal(size=n) * 1e-299, (rng.normal(size=n - 1) * 1e-150) ** 2
+    xs = rng.integers(-4, 5, size=shifts) * 0.5
+    if kind == "random":
+        xs = xs + rng.normal(size=shifts)
+    xs[: min(3, shifts)] = [np.nan, np.inf, -np.inf][: min(3, shifts)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        expect = _reference_sturm_counts(diag, off_sq, xs)
+    assert np.array_equal(oracle._sturm_counts(diag, off_sq, xs), expect)
