@@ -292,12 +292,13 @@ def mode_profile(
 ) -> ModeProfile:
     """Sampled eigenmode profile u(x) = sum_j a_j V_j(x).
 
-    ``eigvec`` holds the resonator amplitudes a_j.  Each gap contributes
+    ``eigvec`` holds the resonator amplitudes a_j, or a (K, N) stack of K
+    modes; ``values`` then has one row per mode.  Each gap contributes
     ``samples_per_gap`` interior points of the linear interpolant; the
     exterior is extended by one gap-width on each side at constant value.
     """
     a = np.asarray(eigvec, dtype=float)
-    if len(a) != chain.size:
+    if a.shape[-1:] != (chain.size,):
         raise ValueError("eigenvector length must equal the number of resonators")
     if samples_per_gap < 1:
         raise ValueError("samples_per_gap must be positive")
@@ -306,15 +307,19 @@ def mode_profile(
 
     def lay_out(at_left, at_right, in_gaps, before, after):
         # Resonator i contributes (left end, right end, gap i samples).
-        body = np.column_stack([at_left[:-1], at_right[:-1], in_gaps]).ravel()
-        return np.concatenate([[before], body, [at_left[-1], at_right[-1], after]])
+        ends = np.stack([at_left, at_right], axis=-1)
+        body = np.concatenate([ends[..., :-1, :], in_gaps], axis=-1).reshape(*ends.shape[:-2], -1)
+        return np.concatenate([before, body, ends[..., -1, :], after], axis=-1)
 
     sites = np.arange(chain.size)
     return ModeProfile(
         xs=lay_out(
             left, right, right[:-1, None] + t * (left[1:] - right[:-1])[:, None],
-            left[0] - float(chain.spacings[0]), right[-1] + float(chain.spacings[-1]),
+            [left[0] - float(chain.spacings[0])], [right[-1] + float(chain.spacings[-1])],
         ),
-        values=lay_out(a, a, a[:-1, None] + t * (a[1:] - a[:-1])[:, None], a[0], a[-1]),
-        resonator_index_map=lay_out(sites, sites, np.full((chain.size - 1, len(t)), -1), -1, -1),
+        values=lay_out(a, a, a[..., :-1, None] + t * (a[..., 1:] - a[..., :-1])[..., None],
+                       a[..., :1], a[..., -1:]),
+        resonator_index_map=lay_out(
+            sites, sites, np.full((chain.size - 1, len(t)), -1), [-1], [-1]
+        ),
     )

@@ -374,12 +374,12 @@ def cmd_modes(cfg: RunConfig) -> list[Path]:
 
     if prob.chain is not None:
         # Sample positions and the resonator map depend only on the chain.
-        profs = [capacitance.mode_profile(prob.chain, p.vector) for p in pairs]
+        prof = capacitance.mode_profile(prob.chain, modes["value"])
         profiles = {
             "index": index,
-            "x": profs[0].xs[None, :],
-            "resonator": profs[0].resonator_index_map[None, :],
-            "value": np.stack([q.values for q in profs]),
+            "x": prof.xs[None, :],
+            "resonator": prof.resonator_index_map[None, :],
+            "value": prof.values,
         }
         written.append(_write_table(cfg, "profiles", profiles))
     return written

@@ -3,10 +3,11 @@
 Any tridiagonal matrix whose sub/super band products are all positive is
 diagonally similar to a symmetric one, so its spectrum is real and simple.
 This module performs that symmetrization and then locates every eigenvalue by
-Sturm-sequence bisection, with inverse iteration for eigenvectors.  It is the
-independent cross-check for the closed-form eigenvector formulas and is also
-used directly for matrices (interface blocks, generalized problems) that are
-not plain perturbed 2-Toeplitz.
+Sturm-sequence bisection, one vectorized count sweep per round, with inverse
+iteration for eigenvectors.  It is the independent cross-check for the
+closed-form eigenvector formulas and is also used directly for matrices
+(interface blocks, generalized problems) that are not plain perturbed
+2-Toeplitz.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def symmetrize(T) -> SymTridiagonal:
 
     Requires every product lower[i]*upper[i] to be positive; the offdiagonal
     of the result is sqrt(lower*upper), realized by the diagonal similarity
-    D^-1 T D with D_ii = prod(sqrt(upper_j/lower_j), j < i).
+    D^-1 T D with D_ii = prod(sqrt(lower_j/upper_j), j < i).
     """
     products = np.asarray(T.lower, dtype=float) * np.asarray(T.upper, dtype=float)
     if len(products) and products.min() <= 0.0:
@@ -141,182 +142,65 @@ def _gershgorin(S: SymTridiagonal) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _certified_brackets(
-    diag: np.ndarray,
-    off_sq: np.ndarray,
-    guess: np.ndarray,
-    tol: float,
-    glo: float,
-    ghi: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Sturm-certified brackets [lo, hi) around eigenvalue estimates ``guess``.
-
-    Bracket k starts at guess[k] +- tol*max(1,|guess[k]|)/2 and holds the k-th
-    eigenvalue exactly when count(lo) <= k < count(hi).  A bracket that fails
-    the test is widened 16x at a time, clipped to the Gershgorin interval,
-    and the first width that passes is kept.  A count sweep tests as many
-    widths of each failed lane as fit in 2n shifts, so a few failed lanes
-    test their whole ladder, up to the Gershgorin ends, at once.  The test
-    holds at the ends unless the counts are broken (then ConvergenceError).
-
-    A sweep that tests a ladder also evaluates, in the shifts left over, the
-    bisection tree (see :func:`_tree_midpoints`) of each lane's first width,
-    where almost every failed lane passes.  Returns (lo, hi, widened,
-    levels): ``levels`` holds that tree's counts when it serves every widened
-    lane, and is empty otherwise.
-    """
-    n = len(diag)
-    guess = np.asarray(guess, dtype=float)
-    if guess.shape != (n,):
-        raise ValueError("guess must hold one estimate per eigenvalue")
-    half = 0.5 * tol * np.maximum(1.0, np.abs(guess))
-    lo = np.full(n, glo)
-    hi = np.full(n, ghi)
-    todo = np.arange(n)
-    # Non-finite estimates carry no information: always bisect those lanes.
-    widened = ~np.isfinite(guess)
-    while len(todo):
-        # Rung j of a lane is its current bracket widened 16**j times; take as
-        # many rungs as fit in 2n shifts, up to the one where every lane
-        # reaches both Gershgorin ends.
-        g, h = guess[todo], half[todo]
-        rungs = []
-        while len(rungs) < n // len(todo) and not (rungs and rungs[-1][2].all()):
-            # fmax/fmin send non-finite estimates straight to the Gershgorin ends.
-            with np.errstate(invalid="ignore", over="ignore"):
-                a, b = np.fmax(g - h, glo), np.fmin(g + h, ghi)
-                rungs.append((a, b, (a <= glo) & (b >= ghi)))
-                h = h * 16.0
-        a, b, at_ends = (np.stack(r, axis=1) for r in zip(*rungs))
-        tested = np.ones_like(at_ends)
-        tested[:, 1:] = ~at_ends[:, :-1]  # a lane reaches the ends for good
-        lane = np.broadcast_to(todo[:, None], a.shape)[tested]
-        rounds = _rounds_per_sweep(a[:, 0], b[:, 0], tol, 2 * (n - len(lane)))
-        mids = _tree_midpoints(a[:, 0], b[:, 0], rounds)
-        counts = _sturm_counts(
-            diag, off_sq, np.concatenate([a[tested], b[tested]] + [m.ravel() for m in mids])
-        )
-        ok = np.zeros_like(tested)
-        ok[tested] = (counts[: len(lane)] <= lane) & (lane < counts[len(lane) : 2 * len(lane)])
-        found = ok.any(axis=1)
-        if np.any(~found & at_ends[:, -1]):
-            raise ConvergenceError("Sturm counts fail certification at the Gershgorin ends")
-        first = np.argmax(ok[found], axis=1)
-        lo[todo[found]] = a[found, first]
-        hi[todo[found]] = b[found, first]
-        # The tree serves the bisection when it covers every lane left to bisect.
-        serves = found.all() and not first.any() and widened.sum() == len(todo)
-        todo = todo[~found]
-        widened[todo] = True
-        half[todo] = h[~found]
-    levels = _split_levels(counts[2 * len(lane) :], mids) if rounds and serves else []
-    return lo, hi, widened, levels
-
-
-def _tree_midpoints(lo, hi, rounds: int) -> list[np.ndarray]:
-    """Midpoints of the next ``rounds`` bisection rounds of the brackets [lo, hi).
-
-    Returns one (lanes, 2**j) array for each round j: the midpoints of the
-    2**j brackets that j rounds can reach, left to right.  Each is
-    0.5*(lo + hi) of the bracket it halves, as a round forms it.
-    """
-    tlo, thi = lo[:, None], hi[:, None]
-    mids = []
-    for _ in range(rounds):
-        mid = 0.5 * (tlo + thi)
-        mids.append(mid)
-        tlo = np.stack([tlo, mid], axis=2).reshape(len(lo), -1)
-        thi = np.stack([mid, thi], axis=2).reshape(len(lo), -1)
-    return mids
-
-
-def _split_levels(counts: np.ndarray, mids: list[np.ndarray]) -> list[np.ndarray]:
-    """Counts at the concatenated, raveled ``mids``, one array shaped like each."""
-    ends = np.cumsum([m.size for m in mids])
-    return [c.reshape(m.shape) for c, m in zip(np.split(counts, ends[:-1]), mids)]
-
-
-def _rounds_per_sweep(lo, hi, tol: float, shifts: int) -> int:
-    """Bisection rounds a count sweep with room for ``shifts`` midpoints serves.
-
-    As many as the widest bracket [lo, hi) still needs, with a margin for the
-    rounding of the midpoints, but no more than keep the 2**r - 1 tree
-    midpoints of every lane within ``shifts``.  A sweep of 2n shifts, the
-    size of the certification sweep, serves one round while all n lanes are
-    active.
-    """
-    cap = int(np.log2(shifts // len(lo) + 1))
-    if cap == 0:
-        return 0
-    target = tol * np.maximum(1.0, np.minimum(np.abs(lo), np.abs(hi)))
-    need = int(np.log2(max(1.1 * np.max((hi - lo) / target), 1.0))) + 1
-    return min(need, cap)
-
-
 def sturm_eigenvalues(
     S: SymTridiagonal, tol: float = 1e-14, guess: np.ndarray | None = None
 ) -> np.ndarray:
     """All eigenvalues of ``S``, ascending, each bisected to width < tol*max(1,|lam|).
 
     Every eigenvalue is certified by its Sturm count, so none can be missed
-    or duplicated.  All n bisections advance simultaneously on vectorized
-    count sweeps.  ``guess``, when given, holds estimates of the n
-    eigenvalues in ascending order (e.g. from LAPACK).  Each is first tested
-    on a bracket of width tol*max(1,|guess|) around it; a certified bracket
-    is kept as it is (its width meets the target up to rounding), and only
-    the lanes that fail are widened and then bisected.
-
-    One count sweep serves the next r rounds: it evaluates every midpoint
-    those rounds can reach (the 2**r - 1 nodes of each active lane's
-    bisection tree), and the rounds then run on those counts with their
-    usual stopping tests, so the result is bit for bit that of one sweep
-    per round.  r is what the widest bracket still needs, capped so that a
-    sweep holds at most 2n shifts; with all n lanes active, as without
-    ``guess``, r is 1.  The sweep that widens the failed lanes also serves
-    their first rounds when they all pass at their first new width, so a
-    few failed lanes usually cost one sweep beyond the certification sweep.
+    or duplicated.  The bisections advance together, one vectorized count
+    sweep per round over the lanes still short of their target.  ``guess``,
+    when given, holds ascending estimates of the n eigenvalues (e.g. from
+    LAPACK).  Bracket k starts at guess[k] +- tol*max(1,|guess[k]|)/2 and holds
+    the k-th eigenvalue exactly when count(lo) <= k < count(hi).  A certified
+    bracket is kept as it is (its width meets the target up to rounding); one
+    that fails is widened 16x per sweep, clipped to the Gershgorin interval,
+    and then bisected.  Failing at both Gershgorin ends means the counts are
+    broken (ConvergenceError).  Non-finite bands raise ValueError.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     n = S.order
     if n == 0:
         return np.empty(0)
+    if not (np.isfinite(S.diag).all() and np.isfinite(S.offdiag).all()):
+        raise ValueError("diag and offdiag must be finite")
     off_sq = S.offdiag**2
     glo, ghi = _gershgorin(S)
-    if guess is None:
-        lo = np.full(n, glo)
-        hi = np.full(n, ghi)
-        active = np.ones(n, dtype=bool)
-        levels = []
-    else:
-        lo, hi, active, levels = _certified_brackets(S.diag, off_sq, guess, tol, glo, ghi)
+    lo, hi = np.full(n, glo), np.full(n, ghi)
+    active = np.ones(n, dtype=bool)
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
+        if guess.shape != (n,):
+            raise ValueError("guess must hold one estimate per eigenvalue")
+        half = 0.5 * tol * np.maximum(1.0, np.abs(guess))
+        todo = np.arange(n)
+        # Non-finite estimates carry no information: always bisect those lanes.
+        active = ~np.isfinite(guess)
+        while len(todo):
+            # fmax/fmin send non-finite estimates straight to the Gershgorin ends.
+            with np.errstate(invalid="ignore", over="ignore"):
+                a = np.fmax(guess[todo] - half[todo], glo)
+                b = np.fmin(guess[todo] + half[todo], ghi)
+            counts = _sturm_counts(S.diag, off_sq, np.concatenate([a, b]))
+            ok = (counts[: len(todo)] <= todo) & (todo < counts[len(todo) :])
+            if np.any(~ok & (a <= glo) & (b >= ghi)):
+                raise ConvergenceError("Sturm counts fail certification at the Gershgorin ends")
+            lo[todo[ok]], hi[todo[ok]] = a[ok], b[ok]
+            todo = todo[~ok]
+            active[todo] = True
+            half[todo] *= 16.0
     k = np.arange(n)
-
-    # Lanes idx bisect on the tree counts in levels, which the last sweep
-    # evaluated for them; live marks those still short of their target.
-    idx = np.flatnonzero(active)
-    live = np.ones(len(idx), dtype=bool)
-    node = np.zeros(len(idx), dtype=np.int64)  # each lane's bracket in its level
     for _ in range(_MAX_BISECTION_ROUNDS):
-        a, b = lo[idx], hi[idx]
-        mid = 0.5 * (a + b)
+        mid = 0.5 * (lo + hi)
         # Stop a bracket when it reaches the target width or float resolution.
-        live &= ~(((b - a) < tol * np.maximum(1.0, np.abs(mid))) | (mid <= a) | (mid >= b))
-        if not live.any():
-            return 0.5 * (lo + hi)
-        if not levels:
-            idx, mid = idx[live], mid[live]
-            r = _rounds_per_sweep(lo[idx], hi[idx], tol, 2 * n)
-            mids = _tree_midpoints(lo[idx], hi[idx], r)
-            levels = _split_levels(
-                _sturm_counts(S.diag, off_sq, np.concatenate([m.ravel() for m in mids])), mids
-            )
-            live = np.ones(len(idx), dtype=bool)
-            node = np.zeros(len(idx), dtype=np.int64)
-        below = levels.pop(0)[np.arange(len(idx)), node] <= k[idx]
-        node = 2 * node + below
-        lo[idx[live & below]] = mid[live & below]
-        hi[idx[live & ~below]] = mid[live & ~below]
+        active &= ~(((hi - lo) < tol * np.maximum(1.0, np.abs(mid))) | (mid <= lo) | (mid >= hi))
+        if not active.any():
+            return mid
+        idx = np.flatnonzero(active)
+        below = _sturm_counts(S.diag, off_sq, mid[idx]) <= k[idx]
+        lo[idx[below]] = mid[idx[below]]
+        hi[idx[~below]] = mid[idx[~below]]
     raise ConvergenceError("Sturm bisection did not converge")
 
 

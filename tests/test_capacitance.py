@@ -297,3 +297,11 @@ def test_mode_profile_matches_reference_loop(chain_vector, samples_per_gap):
     assert np.array_equal(prof.values.view(np.int64), values.view(np.int64))
     assert np.array_equal(prof.resonator_index_map, index)
     assert prof.resonator_index_map.dtype == index.dtype
+    # A (K, N) stack gives one row per mode, each the profile of that mode alone.
+    stack = np.stack([vector, vector[::-1], 0.5 * vector])
+    stacked = mode_profile(chain, stack, samples_per_gap)
+    assert np.array_equal(stacked.xs.view(np.int64), xs.view(np.int64))
+    assert np.array_equal(stacked.resonator_index_map, index)
+    for row, v in zip(stacked.values, stack):
+        expect = _mode_profile_reference(chain, v, samples_per_gap)[1]
+        assert np.array_equal(row.view(np.int64), expect.view(np.int64))

@@ -251,10 +251,9 @@ NEG_N1400 = PerturbedDimerParams(
 )
 
 
-def test_sturm_guess_path_makes_at_most_two_sweeps(monkeypatch):
-    # The per-round loop sweeps 7 times here: 2,800 shifts, then 10, 5, 5, 5,
-    # 5 and 1 for the few lanes whose LAPACK estimate misses its bracket.  The
-    # sweep that widens those lanes also serves all their bisection rounds.
+def test_sturm_guess_path_sweeps_only_failed_lanes(monkeypatch):
+    # After the 2,800-shift certification sweep only the 5 lanes whose LAPACK
+    # estimate misses its bracket are swept: one widening step, then bisection.
     S = oracle.symmetrize(build_perturbed(NEG_N1400, 1400))
     guess = eigh_tridiagonal(S.diag, S.offdiag, eigvals_only=True, lapack_driver="sterf")
     sweeps = []
@@ -266,8 +265,19 @@ def test_sturm_guess_path_makes_at_most_two_sweeps(monkeypatch):
 
     monkeypatch.setattr(oracle, "_sturm_counts", counted)
     got = oracle.sturm_eigenvalues(S, 1e-14, guess=guess)
-    assert len(sweeps) <= 2 and max(sweeps) <= 2 * 1400
+    assert sweeps == [2800, 10, 5, 5, 5, 5, 1]
     assert got.tobytes() == _reference_sturm_eigenvalues(S, 1e-14, guess).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("band", ["diag", "offdiag"])
+@pytest.mark.parametrize("with_guess", [False, True])
+def test_sturm_eigenvalues_rejects_non_finite_bands(bad, band, with_guess):
+    bands = {"diag": np.array([1.0, 2.0, 2.0]), "offdiag": np.array([0.5, 0.5])}
+    bands[band][1] = bad
+    guess = np.array([0.5, 1.5, 2.5]) if with_guess else None
+    with pytest.raises(ValueError, match="finite"):
+        oracle.sturm_eigenvalues(oracle.SymTridiagonal(**bands), guess=guess)
 
 
 def _reference_sturm_counts(diag, off_sq, xs):

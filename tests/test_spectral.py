@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skinspec as sk
 from skinspec.spectral import (
     PointOnCurveError,
     _BlockLU,
+    _off_product,
     SamplingError,
     SymbolCurve,
     det_curve,
@@ -77,14 +78,24 @@ def test_det_min_on_circle(cap_params, fig1_params):
     assert dmin_fig1 > 1e-3
 
 
-def _two_level_scan(params) -> float:
-    """min |det f| from 2^16 samples of the circle, then 2^16 around the best one."""
-    n = 2**16
+_SCAN_SAMPLES = 2**16
+# Spacing of the scan's fine level.
+_SCAN_STEP = 2.0 * (2.0 * math.pi / _SCAN_SAMPLES) / (_SCAN_SAMPLES - 1)
+
+
+def _two_level_scan(params, d=None) -> float:
+    """min |d - off(e^{it})| from 2^16 samples of the circle, then 2^16 around the best one.
+
+    The default d = alpha1*alpha2 scans |det f|; d = (alpha1 - lam)(alpha2 - lam)
+    scans |det(f - lam I)|.
+    """
+    d = params.alpha1 * params.alpha2 if d is None else d
+    n = _SCAN_SAMPLES
     h = 2.0 * math.pi / n
     thetas = h * np.arange(n)
-    coarse = np.abs(det_symbol(params, np.exp(1j * thetas)))
+    coarse = np.abs(d - _off_product(params, np.exp(1j * thetas)))
     t0 = thetas[np.argmin(coarse)]
-    fine = np.abs(det_symbol(params, np.exp(1j * np.linspace(t0 - h, t0 + h, n))))
+    fine = np.abs(d - _off_product(params, np.exp(1j * np.linspace(t0 - h, t0 + h, n))))
     return float(min(coarse.min(), fine.min()))
 
 
@@ -124,19 +135,31 @@ def _sampled(curve_of, params, lam):
 
 @settings(max_examples=120, deadline=None)
 @given(_mixed_sign_params(), st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=6))
+# Both have off(-1) = 0 and lam = alpha1 = alpha2, so lam is on the eigenvalue
+# curve.  The sampled curve's nearest point lies sqrt|off| ~ 1.1e-8 from lam,
+# beyond its 1e-8 clearance, so the reference gives a winding there.
+@example(PerturbedDimerParams(0.0, 0.0, -1.0, -1.0, -1.0, -2.0), [0.0])
+@example(PerturbedDimerParams(2.0, 2.0, -1.0, -2.0, -2.0, -2.0), [2.0])
 def test_ellipse_winding_matches_sampled_curves(params, points):
-    # The eigenvalues of a finite section sit on or near the curves.
+    # The eigenvalues of a finite section sit on or near the curves.  Where the
+    # closed form is undefined, a dense scan must find the curve within its
+    # 1e-8 clearance of lam, up to the scan's spacing and rounding.
     lams = np.concatenate([points, certified_eigenvalues(build_perturbed(params, 21))])
     p = params
-    w_det = ellipse_winding(p, p.alpha1 * p.alpha2 - lams)
-    w_eig = ellipse_winding(p, (p.alpha1 - lams) * (p.alpha2 - lams))
-    for lam, closed_det, closed_eig in zip(lams.tolist(), w_det, w_eig):
-        ref_det = _sampled(det_curve, p, lam)
-        if ref_det is not None:
-            assert closed_det == ref_det
-        ref_eig = _sampled(eig_curve_union, p, lam)
-        if ref_eig is not None:
-            assert closed_eig == ref_eig
+    B, C = abs(p.beta1 * p.beta2), abs(p.gamma1 * p.gamma2)
+    scale = abs(p.beta1 * p.gamma1) + abs(p.beta2 * p.gamma2) + B + C
+    for curve_of, ds in (
+        (det_curve, p.alpha1 * p.alpha2 - lams),
+        (eig_curve_union, (p.alpha1 - lams) * (p.alpha2 - lams)),
+    ):
+        for lam, d, closed in zip(lams.tolist(), ds.tolist(), ellipse_winding(p, ds)):
+            if closed is None:
+                slack = (B + C) * _SCAN_STEP + 8.0 * np.finfo(float).eps * (abs(d) + scale)
+                assert _two_level_scan(p, d) < 1e-8 + slack
+                continue
+            ref = _sampled(curve_of, p, lam)
+            if ref is not None:
+                assert closed == ref
 
 
 def test_eig_curves_never_raise_on_admissible_params():
