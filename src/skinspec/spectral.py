@@ -12,10 +12,11 @@ the winding data.  Shifted by a real lam they are ellipses, so their windings
 (the Toeplitz index) and the minimum of |det f| are closed forms; the sampled
 curves and :func:`winding` are their reference.  Epsilon-pseudospectra of the
 finite matrices are computed from sigma_min(zI - M) via inverse Lanczos on
-(A^H A)^-1.  The grid points of
-a chunk share one block-diagonal LAPACK LU (``zgttrf``/``zgttrs``), one
-diagonal block per point: a point with a pivot below 1e-300 returns 0 at
-once, and a point whose solves overflow is solved on its own and returns 0.
+(A^H A)^-1.  The grid points of a chunk share one block-diagonal LAPACK LU
+(``zgttrf``/``zgttrs``), one diagonal block per point: a point with a pivot
+below 1e-300 returns 0 at once, and a point whose solves overflow is solved on
+its own and returns 0.  A converged point keeps its block, solving zeros, until
+enough have converged to compact them away; no point's bits depend on its batch.
 """
 
 from __future__ import annotations
@@ -277,6 +278,9 @@ _SIGMA_RTOL = 1e-12
 _SIGMA_EXTRA_STEPS = 100
 _LAGUERRE_MAX_ITER = 50
 _TINY_PIVOT = 1e-300
+# Compact once the retired lanes' zero solves up to the next Ritz value add up to this
+# share of one step over all lanes.
+_COMPACT_DEAD = 0.25
 
 
 # Identity rows closing the flat system: the LAPACK wrappers need order >= 3,
@@ -357,27 +361,30 @@ def _largest_ritz(alpha: np.ndarray, beta: np.ndarray, upper: np.ndarray) -> np.
     Laguerre's method on p(x) = det(xI - T) from ``upper``, a bound above
     every eigenvalue, from where it decreases monotonically to the largest
     root.  p'/p and -(p'/p)' are summed over the LDL^T pivots q of xI - T,
-    tracking r = q'/q and t = q''/q; T is scaled by ``upper``.
+    tracking r = q'/q and t = q''/q; T is scaled by ``upper``.  Converged lanes drop out.
     """
     m = alpha.shape[0]
     alpha, beta2 = alpha / upper, (beta / upper) ** 2
     x = np.ones_like(upper)
-    done = np.zeros(x.shape, dtype=bool)
+    go, xs = np.arange(len(x)), x.copy()  # the lanes still iterating, and their x
     for _ in range(_LAGUERRE_MAX_ITER):
-        q = x - alpha[0]
+        q = xs - alpha[0]
         r, t = 1.0 / q, 0.0
         g, h = r, r * r
         for i in range(1, m):
             c = beta2[i - 1] / q
-            q = x - alpha[i] - c
+            q = xs - alpha[i] - c
             r, t = (1.0 + c * r) / q, c * (t - 2.0 * r * r) / q
             g += r
             h += r * r - t
         step = m / (g + np.copysign(np.sqrt(np.maximum((m - 1) * (m * h - g * g), 0.0)), g))
-        step = np.where(done | ~np.isfinite(step), 0.0, step)
-        x -= step
-        done |= np.abs(step) <= 4.0 * np.finfo(float).eps * x
-        if done.all():
+        step[~np.isfinite(step)] = 0.0
+        xs -= step
+        x[go] = xs
+        moving = ~(np.abs(step) <= 4.0 * np.finfo(float).eps * xs)
+        if not moving.all():
+            go, xs, alpha, beta2 = go[moving], xs[moving], alpha[:, moving], beta2[:, moving]
+        if not len(go):
             break
     return x * upper
 
@@ -387,13 +394,14 @@ def sigma_min_many(M, zs: np.ndarray) -> np.ndarray:
 
     Inverse Lanczos: a three-term Lanczos recurrence on (A^H A)^-1 per lane,
     A = (zI - M)/s with s the power of two at or above max(1, |z|, max|M|);
-    sigma = s/sqrt(theta) for the largest Ritz value theta.  The lanes share
-    one block-diagonal LAPACK LU of A^H (:class:`_BlockLU`).  A lane with a
-    pivot below 1e-300 is singular and returns 0 at once; a lane whose
-    solves overflow is singular to working precision and returns 0 too, and
-    is solved on its own so that its inf/nan stays out of the other lanes.
-    A lane retires once theta moves by at most 1e-12 relative between two
-    Ritz evaluations or its Krylov space is invariant.  Raises
+    sigma = s/sqrt(theta) for the largest Ritz value theta.  The lanes share one
+    block-diagonal LAPACK LU of A^H (:class:`_BlockLU`).  A lane with a pivot
+    below 1e-300 is singular and returns 0 at once; a lane whose solves overflow
+    is singular to working precision and returns 0 too, and is solved on its own
+    so that its inf/nan stays out of the other lanes.  A lane retires once theta
+    moves by at most 1e-12 relative between two Ritz evaluations or its Krylov
+    space is invariant; then it solves zeros in its slot until enough lanes have
+    retired to compact them.  Each lane does the arithmetic it does alone.  Raises
     :class:`~skinspec.oracle.ConvergenceError` for a lane still moving at the
     step cap, ``ValueError`` for a non-finite z.
     """
@@ -404,61 +412,68 @@ def sigma_min_many(M, zs: np.ndarray) -> np.ndarray:
     m_max = max(np.abs(band).max(initial=0.0) for band in (M.diag, M.upper, M.lower))
     # Dividing by a power of two is exact: a singular shift keeps its zero pivot.
     scale = np.ldexp(1.0, np.frexp(np.maximum(np.abs(zs), max(1.0, m_max)))[1])
-    # (L, n) bands of A = zI - M; dl and du end in the zero coupling to the next lane.
-    d = (zs[:, None] - np.asarray(M.diag, dtype=complex)) / scale[:, None]
-    du, dl = (np.append(-np.asarray(band, dtype=complex), 0.0) / scale[:, None]
-              for band in (M.upper, M.lower))
     # A^-1 is applied as the adjoint of the A^H solve: separate LUs of A and A^H
     # disagree by O(1) near an eigenvalue, where the recurrence then never settles.
-    lu_h = _BlockLU(np.conj(du), np.conj(d), np.conj(dl))
+    # (L, n) bands of A^H; dl and du end in the zero coupling to the next lane.
+    d = (np.conj(zs)[:, None] - M.diag) / scale[:, None]
+    dl, du = (np.append(-band, 0.0) / scale[:, None] for band in (M.upper, M.lower))
+    lu_h = _BlockLU(dl, d, du)
     # Singular lanes return 0 (theta = inf) without a step.
     out_theta = np.full(L, np.inf)
     active = np.flatnonzero(~lu_h.singular)
-    lu_h.keep(~lu_h.singular)
-    lanes = len(active)
+    if len(active) < L:
+        lu_h.keep(~lu_h.singular)
 
     # One fixed pseudo-random start vector: results do not depend on batching.
     start = np.random.default_rng(0).standard_normal((n, 2)) @ np.array([1.0, 1.0j])
-    q = np.repeat((start / np.linalg.norm(start))[None, :], lanes, axis=0)
+    q = np.repeat((start / np.linalg.norm(start))[None, :], len(active), axis=0)
     q_prev = np.zeros_like(q)
-    alpha = np.empty((0, lanes))
-    beta = np.zeros((1, lanes))  # beta[k + 1] couples Lanczos vectors k and k + 1
-    theta = np.zeros(lanes)
-    bound = np.zeros(lanes)
+    cap = 2 * n + _SIGMA_EXTRA_STEPS
+    alpha = np.empty((cap, len(active)))
+    beta = np.zeros((cap + 1, len(active)))  # beta[k + 1] couples Lanczos vectors k and k + 1
+    theta, bound = np.zeros(len(active)), np.zeros(len(active))
+    dead = np.zeros(len(active), dtype=bool)
     with np.errstate(all="ignore"):
-        for j in range(2 * n + _SIGMA_EXTRA_STEPS):
+        for j in range(cap):
+            if dead.all():
+                break
             y = lu_h.solve(q, "N")
             # Squared row norms summed over the float view: no temporaries.
             a = np.einsum("ij,ij->i", y.view(float), y.view(float))
             # An overflowing lane must not carry inf into the flat adjoint solve.
             y[~np.isfinite(a)] = 0.0
             w = lu_h.solve(y, "C")
-            w -= a[:, None] * q
-            w -= beta[-1][:, None] * q_prev
+            # In place, into the spent y and q_prev: the same products, no fresh arrays.
+            w -= np.multiply(a[:, None], q, out=y)
+            q_prev *= beta[j][:, None]
+            w -= q_prev
             b = np.sqrt(np.einsum("ij,ij->i", w.view(float), w.view(float)))
-            alpha = np.vstack((alpha, a))
-            # Bordering the tridiagonal with (beta[-1], a) lifts a bound on its
-            # top eigenvalue at most to the top of [[bound, beta[-1]], [beta[-1], a]].
-            bound = 0.5 * (bound + a) + np.hypot(0.5 * (bound - a), beta[-1])
-            beta = np.vstack((beta, b))
+            b[dead] = 1.0  # retired lanes keep q = 0, and b.all() sees the live ones
+            # Bordering the tridiagonal with (beta[j], a) lifts a bound on its
+            # top eigenvalue at most to the top of [[bound, beta[j]], [beta[j], a]].
+            bound = 0.5 * (bound + a) + np.hypot(0.5 * (bound - a), beta[j])
+            alpha[j], beta[j + 1] = a, b
+            w /= b[:, None]
+            q_prev, q = q, w
             if j % max(1, j // 16) and b.all():
                 # A Ritz value costs O(j): past step 32, take one every j // 16 steps.
-                q_prev, q = q, w / b[:, None]
                 continue
-            new = _largest_ritz(alpha, beta[1:-1], bound)
-            singular = ~np.isfinite(new) | ~np.isfinite(b)
-            done = singular | (b <= _SIGMA_RTOL * new)
-            done |= np.abs(new - theta) <= _SIGMA_RTOL * new
-            out_theta[active[done]] = np.where(singular, np.inf, new)[done]
-            keep = ~done
-            active = active[keep]
-            if len(active) == 0:
-                break
-            lu_h.keep(keep)
-            q_prev, q = q[keep], w[keep] / b[keep, None]
-            alpha, beta, theta, bound = alpha[:, keep], beta[:, keep], new[keep], new[keep]
+            live = np.flatnonzero(~dead)
+            new = _largest_ritz(alpha[: j + 1, live], beta[1 : j + 1, live], bound[live])
+            singular = ~np.isfinite(new) | ~np.isfinite(b[live])
+            done = singular | (b[live] <= _SIGMA_RTOL * new)
+            done |= np.abs(new - theta[live]) <= _SIGMA_RTOL * new
+            gone = live[done]
+            out_theta[active[gone]] = np.where(singular, np.inf, new)[done]
+            theta[live] = bound[live] = new
+            dead[gone], q[gone], q_prev[gone] = True, 0.0, 0.0
+            if dead.mean() * max(1, j // 16) >= _COMPACT_DEAD:
+                keep = ~dead
+                lu_h.keep(keep)
+                active, q, q_prev, dead = active[keep], q[keep], q_prev[keep], dead[keep]
+                alpha, beta, theta, bound = alpha[:, keep], beta[:, keep], theta[keep], bound[keep]
         else:
-            raise ConvergenceError(f"sigma_min: {len(active)}/{L} lanes unconverged at step cap")
+            raise ConvergenceError(f"sigma_min: {(~dead).sum()}/{L} lanes unconverged at step cap")
         return scale / np.sqrt(out_theta)
 
 

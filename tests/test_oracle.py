@@ -214,9 +214,9 @@ def _reference_sturm_eigenvalues(S, tol, guess=None):
     guess_kind=st.sampled_from(["none", "lapack", "relative", "absolute", "shifted"]),
     holes=st.sampled_from([(), (np.nan,), (np.inf, -np.inf), (np.nan, np.inf, -np.inf)]),
 )
-def test_sturm_speculative_rounds_match_reference_loop(seed, n, kind, guess_kind, holes):
-    # A sweep that serves several rounds, and one that tests a whole widening
-    # ladder, must reproduce the per-round loop bit for bit.
+def test_sturm_eigenvalues_match_reference_loop(seed, n, kind, guess_kind, holes):
+    # sturm_eigenvalues must give the bits of the plain per-round loop kept
+    # above, without a guess and with near, far or non-finite guesses.
     rng = np.random.default_rng(seed)
     if kind == "dimer" and n >= 2:
         S = oracle.symmetrize(build_perturbed(random_admissible(rng), n))

@@ -6,9 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skinspec as sk
+import skinspec.spectral as spectral
+from skinspec.oracle import ConvergenceError
 from skinspec.spectral import (
     PointOnCurveError,
     _BlockLU,
+    _largest_ritz,
     _off_product,
     SamplingError,
     SymbolCurve,
@@ -359,6 +362,150 @@ def test_pseudospectrum_independent_of_workers(dimer_chain_50):
     one = pseudospectrum(M, re_range, im_range, (70, 64), workers=1)
     two = pseudospectrum(M, re_range, im_range, (70, 64), workers=2)
     assert np.array_equal(one.sigma_min, two.sigma_min)
+
+
+def _reference_largest_ritz(alpha, beta, upper):
+    """Laguerre's method iterating every lane until all have converged."""
+    m = alpha.shape[0]
+    alpha, beta2 = alpha / upper, (beta / upper) ** 2
+    x = np.ones_like(upper)
+    done = np.zeros(x.shape, dtype=bool)
+    for _ in range(spectral._LAGUERRE_MAX_ITER):
+        q = x - alpha[0]
+        r, t = 1.0 / q, 0.0
+        g, h = r, r * r
+        for i in range(1, m):
+            c = beta2[i - 1] / q
+            q = x - alpha[i] - c
+            r, t = (1.0 + c * r) / q, c * (t - 2.0 * r * r) / q
+            g += r
+            h += r * r - t
+        step = m / (g + np.copysign(np.sqrt(np.maximum((m - 1) * (m * h - g * g), 0.0)), g))
+        step = np.where(done | ~np.isfinite(step), 0.0, step)
+        x -= step
+        done |= np.abs(step) <= 4.0 * np.finfo(float).eps * x
+        if done.all():
+            break
+    return x * upper
+
+
+def _reference_sigma_min_many(M, zs):
+    """The lane loop that compacts retired lanes at every Ritz evaluation."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    n, L = M.order, len(zs)
+    m_max = max(np.abs(band).max(initial=0.0) for band in (M.diag, M.upper, M.lower))
+    scale = np.ldexp(1.0, np.frexp(np.maximum(np.abs(zs), max(1.0, m_max)))[1])
+    d = (zs[:, None] - np.asarray(M.diag, dtype=complex)) / scale[:, None]
+    du, dl = (np.append(-np.asarray(band, dtype=complex), 0.0) / scale[:, None]
+              for band in (M.upper, M.lower))
+    lu_h = _BlockLU(np.conj(du), np.conj(d), np.conj(dl))
+    out_theta = np.full(L, np.inf)
+    active = np.flatnonzero(~lu_h.singular)
+    lu_h.keep(~lu_h.singular)
+    lanes = len(active)
+    start = np.random.default_rng(0).standard_normal((n, 2)) @ np.array([1.0, 1.0j])
+    q = np.repeat((start / np.linalg.norm(start))[None, :], lanes, axis=0)
+    q_prev = np.zeros_like(q)
+    alpha = np.empty((0, lanes))
+    beta = np.zeros((1, lanes))
+    theta = np.zeros(lanes)
+    bound = np.zeros(lanes)
+    with np.errstate(all="ignore"):
+        for j in range(2 * n + spectral._SIGMA_EXTRA_STEPS):
+            y = lu_h.solve(q, "N")
+            a = np.einsum("ij,ij->i", y.view(float), y.view(float))
+            y[~np.isfinite(a)] = 0.0
+            w = lu_h.solve(y, "C")
+            w -= a[:, None] * q
+            w -= beta[-1][:, None] * q_prev
+            b = np.sqrt(np.einsum("ij,ij->i", w.view(float), w.view(float)))
+            alpha = np.vstack((alpha, a))
+            bound = 0.5 * (bound + a) + np.hypot(0.5 * (bound - a), beta[-1])
+            beta = np.vstack((beta, b))
+            if j % max(1, j // 16) and b.all():
+                q_prev, q = q, w / b[:, None]
+                continue
+            new = _reference_largest_ritz(alpha, beta[1:-1], bound)
+            singular = ~np.isfinite(new) | ~np.isfinite(b)
+            done = singular | (b <= spectral._SIGMA_RTOL * new)
+            done |= np.abs(new - theta) <= spectral._SIGMA_RTOL * new
+            out_theta[active[done]] = np.where(singular, np.inf, new)[done]
+            keep = ~done
+            active = active[keep]
+            if len(active) == 0:
+                break
+            lu_h.keep(keep)
+            q_prev, q = q[keep], w[keep] / b[keep, None]
+            alpha, beta, theta, bound = alpha[:, keep], beta[:, keep], new[keep], new[keep]
+        else:
+            raise ConvergenceError(f"sigma_min: {len(active)}/{L} lanes unconverged at step cap")
+        return scale / np.sqrt(out_theta)
+
+
+def _sigma_case(name, chain, fig1_params):
+    """(matrix, shifts) of a batch for the lane-bookkeeping reference test."""
+    M, (re0, re1), (im0, im1) = _chain_window(chain)
+    if name == "window":  # one 4096-point chunk: lanes retire over ~30 steps
+        re, im = np.linspace(re0, re1, 64), np.linspace(im0, im1, 64)
+        return M, (re[None, :] + 1j * im[:, None]).ravel()
+    if name == "fig1":  # lanes retire past step 32, where Ritz values are sparse
+        M = build_perturbed(fig1_params, 101)
+        lams = certified_eigenvalues(M)
+        pad = 0.25 * (lams[-1] - lams[0] + 1.0)
+        rng = np.random.default_rng(1)
+        return M, rng.uniform(lams[0] - pad, lams[-1] + pad, 64) + 1j * rng.uniform(-pad, pad, 64)
+    if name == "overflow":
+        # Overflowing lanes between live ones; the far-field points of the
+        # overflow test run close to the step cap, so nearer ones stand in.
+        overflow = TridiagonalMatrix(np.zeros(400), np.ones(399), 100.0 * np.ones(399))
+        return overflow, np.array([150 + 30j, 0.5j, 100 + 100j, 3 + 2j, 60j])
+    return M, {
+        "kernel": np.array([0.5 + 0.1j, 0j, 2.0 - 1.0j]),
+        "empty": np.array([], dtype=complex),
+        "together": np.full(7, 1.5 + 0.25j),  # every lane retires at the same step
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["window", "fig1", "overflow", "kernel", "empty", "together"])
+def test_sigma_min_many_matches_reference_loop(name, dimer_chain_50, fig1_params, monkeypatch):
+    # Lanes that keep their slots after retiring, and Laguerre on the
+    # unconverged lanes only, give the bits of the compact-every-time loop.
+    M, zs = _sigma_case(name, dimer_chain_50, fig1_params)
+    ref = _reference_sigma_min_many(M, zs)
+    keeps = []
+    keep = _BlockLU.keep
+    monkeypatch.setattr(_BlockLU, "keep", lambda lu, mask: keeps.append(mask) or keep(lu, mask))
+    got = sigma_min_many(M, zs)
+    assert got.tobytes() == ref.tobytes()
+    if name == "window":
+        assert len(keeps) >= 3  # several compactions, none before the first step
+    if name == "kernel":
+        assert list(got == 0.0) == [False, True, False]
+
+
+def _ritz_lanes(seed, m):
+    """Random tridiagonals of order m with bounds from tight to 1e12 too high."""
+    rng = np.random.default_rng(seed)
+    lanes = 40
+    alpha = rng.uniform(0.0, 2.0, (m, lanes))
+    beta = rng.uniform(0.0, 1.0, (m - 1, lanes)) * (rng.random((m - 1, lanes)) < 0.9)
+    tri = [np.diag(a) + np.diag(b, 1) + np.diag(b, -1) for a, b in zip(alpha.T, beta.T)]
+    top = np.array([np.linalg.eigvalsh(T)[-1] for T in tri])
+    upper = top * (1.0 + 10.0 ** rng.uniform(-14, 12, lanes))
+    beta[:, 0] = 0.0  # beta = 0: a diagonal lane
+    alpha[:, 1], beta[:, 1], upper[1] = 1.0, 0.0, 1.0  # x = upper is a root: a non-finite step
+    alpha[0, 2] = np.nan
+    return alpha, beta, upper
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 40])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_largest_ritz_matches_all_lanes_loop(seed, m):
+    alpha, beta, upper = _ritz_lanes(seed, m)
+    with np.errstate(all="ignore"):
+        got = _largest_ritz(alpha, beta, upper)
+        ref = _reference_largest_ritz(alpha, beta, upper)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_sigma_min_far_shift(dimer_chain_50):
