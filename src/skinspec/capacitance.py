@@ -279,7 +279,9 @@ class ModeProfile:
 
     Constant on every resonator, linear across gaps, constant beyond the
     outermost resonators.  ``resonator_index_map[k]`` is the 0-based resonator
-    index of sample k, or -1 for gap/exterior samples.
+    index of sample k, or -1 for gap/exterior samples.  Where the map is
+    ``j >= 0`` the value is an exact copy of amplitude a_j, bit for bit, as the
+    two exterior samples are of a_0 and a_{N-1}.
     """
 
     xs: np.ndarray

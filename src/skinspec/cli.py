@@ -240,7 +240,14 @@ def _csv_cell(v) -> str:
     return _csv_quote(v) if isinstance(v, str) else repr(v)
 
 
-def _write_table(cfg: RunConfig, stem: str, columns: dict) -> Path:
+def _cells(column: np.ndarray) -> np.ndarray:
+    """The CSV cells of a column, an object array of its shape."""
+    values = column.ravel().tolist()
+    fmt = map(repr, values) if column.dtype.kind in "iuf" else map(_csv_cell, values)
+    return np.array(list(fmt), dtype=object).reshape(column.shape)
+
+
+def _write_table(cfg: RunConfig, stem: str, columns: dict, text: dict | None = None) -> Path:
     """Write a table of columns that broadcast to one shape, rows in C order.
 
     A column is an array or a list of Python scalars.  In a 2-D table a
@@ -249,6 +256,8 @@ def _write_table(cfg: RunConfig, stem: str, columns: dict) -> Path:
     and 2-D columns do not mix.  CSV cells are what ``csv.writer`` makes of
     Python scalars (a float's repr, an empty field for None), except that
     booleans read true/false as in JSON; each stored value is formatted once.
+    ``text`` maps a column name to its CSV cells already made, an object array
+    of the column's shape; only CSV output reads it.
     """
     cols = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object) for c in columns.values()]
     if len({c.ndim for c in cols}) > 1:
@@ -256,11 +265,8 @@ def _write_table(cfg: RunConfig, stem: str, columns: dict) -> Path:
     if cfg.fmt == "json":
         cols = [c.ravel().tolist() for c in np.broadcast_arrays(*cols)]
         return _write_json(cfg, stem, [dict(zip(columns, row)) for row in zip(*cols)])
-    cells = []
-    for c in cols:
-        values = c.ravel().tolist()
-        fmt = map(repr, values) if c.dtype.kind in "iuf" else map(_csv_cell, values)
-        cells.append(np.array(list(fmt), dtype=object).reshape(c.shape))
+    text = text or {}
+    cells = [text[name] if name in text else _cells(c) for name, c in zip(columns, cols)]
     cells[-1] = cells[-1] + "\n"  # the line ends ride on the last column
     rows = zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*cells)))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -333,19 +339,27 @@ def cmd_spectrum(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_modes(cfg: RunConfig) -> list[Path]:
-    """Eigenvectors with residuals, decay/localization reports, profiles."""
+    """Eigenvectors with residuals, decay/localization reports, profiles.
+
+    In CSV each eigenvector entry is formatted once: at its resonator's
+    samples the profile is an exact copy of the entry (see ``ModeProfile``),
+    so ``profiles.csv`` reuses the ``modes.csv`` text there and formats only
+    the gap and exterior samples.
+    """
     prob = _solve(cfg)
     pairs = toeplitz2.solve_tridiagonal_eigenpairs(prob.matrix, prob.params)
     n = prob.matrix.order
     index = np.arange(len(pairs))[:, None]
+    vectors = np.stack([p.vector for p in pairs])
+    text = {"value": _cells(vectors)} if cfg.fmt == "csv" else {}
     modes = {
         "index": index,
         "lambda": np.array([[p.lam] for p in pairs]),
         "entry_index": np.arange(n)[None, :],
-        "value": np.stack([p.vector for p in pairs]),
+        "value": vectors,
         "residual": np.array([[p.residual] for p in pairs]),
     }
-    written = [_write_table(cfg, "modes", modes)]
+    written = [_write_table(cfg, "modes", modes, text)]
 
     reports = []
     for i, p in enumerate(pairs):
@@ -374,14 +388,20 @@ def cmd_modes(cfg: RunConfig) -> list[Path]:
 
     if prob.chain is not None:
         # Sample positions and the resonator map depend only on the chain.
-        prof = capacitance.mode_profile(prob.chain, modes["value"])
+        prof = capacitance.mode_profile(prob.chain, vectors)
+        if text:
+            on = prof.resonator_index_map >= 0
+            value_text = np.empty(prof.values.shape, dtype=object)
+            value_text[:, on] = text["value"][:, prof.resonator_index_map[on]]
+            value_text[:, ~on] = _cells(prof.values[:, ~on])
+            text = {"value": value_text}
         profiles = {
             "index": index,
             "x": prof.xs[None, :],
             "resonator": prof.resonator_index_map[None, :],
             "value": prof.values,
         }
-        written.append(_write_table(cfg, "profiles", profiles))
+        written.append(_write_table(cfg, "profiles", profiles, text))
     return written
 
 
@@ -501,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"skinspec: config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except (oracle.ConvergenceError, toeplitz2.NotAnEigenvalueError, np.linalg.LinAlgError,
-            FloatingPointError, spectral.PointOnCurveError) as exc:
+            FloatingPointError) as exc:
         print(f"skinspec: numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     return _EXIT_OK

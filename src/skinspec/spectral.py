@@ -188,37 +188,26 @@ def det_min_on_circle(params) -> tuple[float, float]:
     return theta, float(abs(det_symbol(params, np.exp(1j * theta))))
 
 
-def _tracked_offsets(params, thetas: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Continuously tracked sqrt-of-discriminant along the circle.
-
-    Returns the signed square roots, flipping sign wherever a step lands
-    nearer the negated root, and whether the two eigenvalue branches swap
-    after a full loop: the last value is nearer -signed[0] than +signed[0].
-    """
-    off = _off_product(params, np.exp(1j * thetas))
-    sq = np.sqrt(0.25 * (params.alpha1 - params.alpha2) ** 2 + off)
-    flips = np.abs(sq[1:] - sq[:-1]) > np.abs(sq[1:] + sq[:-1])
-    signed = sq * np.concatenate(([1.0], np.where(np.cumsum(flips) % 2, -1.0, 1.0)))
-    return signed, bool(abs(signed[-1] + signed[0]) < abs(signed[-1] - signed[0]))
-
-
 def eig_curves(params, n_samples: int = 1024) -> tuple[SymbolCurve, SymbolCurve]:
     """The two eigenvalue branches of f(e^{i theta}), continuously tracked.
 
-    Each branch is closed on its own when the discriminant loop does not
-    encircle zero; otherwise the branches swap after one loop (both returned
-    with ``closed=False``) and only their union, see :func:`eig_curve_union`,
-    is a closed curve of period 4 pi.
+    The discriminant loop (alpha1 - alpha2)^2/4 + off(e^{i theta}) is the
+    negated ellipse of :func:`_ellipse` at d = -(alpha1 - alpha2)^2/4.  When it
+    winds 0 times around zero each branch is closed; when it winds once the
+    branches swap after one loop, and when it passes within 1e-8 of zero they
+    meet on the circle.  Both come back ``closed=False`` then; see
+    :func:`eig_curve_union` for their union.
     """
     thetas = _circle(n_samples)
+    half_gap_sq = 0.25 * (params.alpha1 - params.alpha2) ** 2
+    sq = np.sqrt(half_gap_sq + _off_product(params, np.exp(1j * thetas)))
+    # Track the root: flip its sign wherever a step lands nearer the negated root.
+    flips = np.abs(sq[1:] - sq[:-1]) > np.abs(sq[1:] + sq[:-1])
+    signed = sq * np.concatenate(([1.0], np.where(np.cumsum(flips) % 2, -1.0, 1.0)))
     half_tr = 0.5 * (params.alpha1 + params.alpha2)
-    signed, swapped = _tracked_offsets(params, thetas)
-    try:
-        plus = SymbolCurve(thetas, half_tr + signed, closed=not swapped)
-        minus = SymbolCurve(thetas, half_tr - signed, closed=not swapped)
-    except ValueError:  # sqrt of a discriminant zero at z = 1 widens rounding to ~1e-8
-        raise PointOnCurveError("the eigenvalue branches meet at z = 1, the loop's start") from None
-    return plus, minus
+    closed = ellipse_winding(params, -half_gap_sq) == 0
+    return (SymbolCurve(thetas, half_tr + signed, closed=closed),
+            SymbolCurve(thetas, half_tr - signed, closed=closed))
 
 
 def eig_curve_union(params, n_samples: int = 1024) -> SymbolCurve:
@@ -226,13 +215,22 @@ def eig_curve_union(params, n_samples: int = 1024) -> SymbolCurve:
 
     If the branches swap, the union is the single period-4pi curve; if not,
     the two closed loops are concatenated (with a duplicated joint point) so
-    that winding numbers add.
+    that winding numbers add.  Branches that meet on the circle are joined as
+    their tracked ends meet; where they meet at z = 1, the loop's start, the
+    ends cannot be matched and :class:`PointOnCurveError` is raised.
     """
     plus, minus = eig_curves(params, n_samples)
-    if not plus.closed:
-        thetas = np.concatenate([plus.thetas[:-1], plus.thetas + 2.0 * math.pi])
-        points = np.concatenate([plus.points[:-1], minus.points])
-        return SymbolCurve(thetas, points, closed=True)
+    end = plus.points[-1]
+    swapped = abs(end - minus.points[0]) < abs(end - plus.points[0])
+    try:
+        if swapped:
+            thetas = np.concatenate([plus.thetas[:-1], plus.thetas + 2.0 * math.pi])
+            points = np.concatenate([plus.points[:-1], minus.points])
+            return SymbolCurve(thetas, points, closed=True)
+        for loop in (plus, minus):
+            SymbolCurve(loop.thetas, loop.points, closed=True)
+    except ValueError:  # sqrt of a discriminant zero at z = 1 widens rounding to ~1e-8
+        raise PointOnCurveError("the eigenvalue branches meet at z = 1, the loop's start") from None
     # Two separate closed loops; winding() splits this case at the midpoint
     # and sums the loop windings.
     thetas = np.concatenate([plus.thetas, minus.thetas + 2.0 * math.pi])

@@ -305,3 +305,23 @@ def test_mode_profile_matches_reference_loop(chain_vector, samples_per_gap):
     for row, v in zip(stacked.values, stack):
         expect = _mode_profile_reference(chain, v, samples_per_gap)[1]
         assert np.array_equal(row.view(np.int64), expect.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mode_profile_copies_amplitudes_at_resonators(seed):
+    # The CLI reuses the modes.csv text of an amplitude at its resonator's
+    # samples, so there the profile must hold that amplitude bit for bit.
+    rng = np.random.default_rng(seed)
+    chain = random_equal_length_chain(rng)
+    special = np.array([-0.0, 5e-324, -5e-324, 1e300, -3.7e300, 2.2e-300, -1e-300])
+    stack = rng.choice(np.concatenate([special, rng.standard_normal(7)]), (6, chain.size))
+    stack[:, 0] = special[:6]
+    stack[:, -1] = special[1:]
+    prof = mode_profile(chain, stack)
+    bits, expect = prof.values.view(np.int64), stack.view(np.int64)
+    on = prof.resonator_index_map >= 0
+    assert np.count_nonzero(on) == 2 * chain.size
+    assert np.array_equal(bits[:, on], expect[:, prof.resonator_index_map[on]])
+    # The exterior samples continue the outermost amplitudes.
+    assert np.array_equal(bits[:, 0], expect[:, 0])
+    assert np.array_equal(bits[:, -1], expect[:, -1])

@@ -12,8 +12,9 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from skinspec import cli, spectral, toeplitz2
-from skinspec.capacitance import ResonatorChain, generalized_matrix, interface_chain
+from skinspec.capacitance import ResonatorChain, generalized_matrix, interface_chain, mode_profile
 from skinspec.cli import _write_table, main
+from skinspec.oracle import ConvergenceError
 from skinspec.toeplitz2 import PerturbedDimerParams
 
 
@@ -253,11 +254,36 @@ def test_topology_mixed_sign_branch_swap(tmp_path, capsys):
     cfg = write_config(tmp_path, "mixed.json", mixed)
     assert main(["topology", "--config", str(cfg), "--out", str(tmp_path / "a"), grid]) == 0
     assert len(read_csv(tmp_path / "a" / "eig_curves.csv")) == 2 * 4097
-    # gamma1 = 1 puts a branch point at z = 1, where the sampled loop starts.
-    cfg = write_config(tmp_path, "branch.json", dict(mixed, gamma1=1))
-    assert main(["topology", "--config", str(cfg), "--out", str(tmp_path / "b"), grid]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("skinspec: numerical failure:") and err.count("\n") == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_topology_branch_point_at_loop_start_exit0(tmp_path, capsys):
+    # gamma1 = 1 puts a branch point of the eigenvalue loops at z = 1, where
+    # the sampled loop starts: the curves come back open, the windings are
+    # closed forms and both columns are written.
+    branch = {"mode": "matrix", "alpha1": 0, "alpha2": 0, "beta1": 1, "beta2": -1,
+              "gamma1": 1, "gamma2": -3, "n": 40}
+    cfg = write_config(tmp_path, "branch.json", branch)
+    out = tmp_path / "out"
+    assert main(["topology", "--config", str(cfg), "--out", str(out), "--grid=-5,5,-5,5,16,16"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_csv(out / "eig_curves.csv")) == 2 * 4097
+    params = PerturbedDimerParams(0.0, 0.0, 1.0, -1.0, 1.0, -3.0)
+    dcurve = spectral.det_curve(params, 2**16)
+    rows = read_csv(out / "winding.csv")
+    assert len(rows) == 40
+    for r in rows:
+        lam = float(r["lambda"])
+        assert r["winding_det_defined"] == "true"
+        assert int(r["winding_det"]) == spectral.winding(dcurve, lam)
+        # det(f - lam I) winds around 0 as both branches do around lam; the
+        # two eigenvalues nearest 0, the branch point's value, lie on it.
+        shifted = spectral.det_shifted_curve(params, lam, 2**16)
+        if r["winding_eig"] == "":
+            assert np.min(np.abs(shifted.points)) < 1e-8
+        else:
+            assert int(r["winding_eig"]) == spectral.winding(shifted, 0.0)
+    assert sum(r["winding_eig"] == "" for r in rows) == 2
 
 
 def test_topology_does_not_import_scipy_optimize(tmp_path):
@@ -422,6 +448,61 @@ def test_write_table_rejects_mixed_dimensions(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_write_table_takes_supplied_text_in_csv_only(tmp_path):
+    columns = {
+        "index": np.arange(2)[:, None],
+        "value": np.array([[0.5, -0.0, 1e300], [5e-324, 2.0, -3.0]]),
+        "tail": np.array([[1.5], [2.5]]),
+    }
+    text = {
+        "value": np.array([["a", "b", "c"], ["d", "e", "f"]], dtype=object),
+        "tail": np.array([["x"], ["y"]], dtype=object),
+    }
+    path = _write_table(SimpleNamespace(out_dir=tmp_path / "csv", fmt="csv"), "t", columns, text)
+    assert path.read_text() == "index,value,tail\n0,a,x\n0,b,x\n0,c,x\n1,d,y\n1,e,y\n1,f,y\n"
+    assert text["tail"].tolist() == [["x"], ["y"]]  # the line ends are not written into it
+    plain = _write_table(SimpleNamespace(out_dir=tmp_path / "plain", fmt="json"), "t", columns)
+    given = _write_table(SimpleNamespace(out_dir=tmp_path / "json", fmt="json"), "t", columns, text)
+    assert given.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("config", [dict(DIMER, N=12), dict(INTERFACE, N=16)],
+                         ids=["chain", "interface"])
+def test_modes_tables_match_flat_reference(tmp_path, config):
+    # modes.csv and profiles.csv share their eigenvector text; both must read
+    # as if every cell were formatted on its own.
+    path = write_config(tmp_path, "config.json", config)
+    options = SimpleNamespace(grid=None, eps=None, samples=None, format="csv")
+    prob = cli._solve(cli.load_config(path, tmp_path / "unused", options))
+    pairs = toeplitz2.solve_tridiagonal_eigenpairs(prob.matrix, prob.params)
+    vectors = np.stack([p.vector for p in pairs])
+    K, n = vectors.shape
+    prof = mode_profile(prob.chain, vectors)
+    M = prof.values.shape[1]
+    tables = {
+        "modes": {
+            "index": np.repeat(np.arange(K), n),
+            "lambda": np.repeat([p.lam for p in pairs], n),
+            "entry_index": np.tile(np.arange(n), K),
+            "value": vectors.ravel(),
+            "residual": np.repeat([p.residual for p in pairs], n),
+        },
+        "profiles": {
+            "index": np.repeat(np.arange(K), M),
+            "x": np.tile(prof.xs, K),
+            "resonator": np.tile(prof.resonator_index_map, K),
+            "value": prof.values.ravel(),
+        },
+    }
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert main(["modes", "--config", str(path), "--out", str(out), "--format", fmt]) == 0
+        for stem, flat in tables.items():
+            csv_ref, json_ref = _flat_reference(flat)
+            got = (out / f"{stem}.{fmt}").read_bytes()
+            assert got == (csv_ref if fmt == "csv" else json_ref.encode())
+
+
 def _cell(value):
     """A value as its CSV cell: empty for None, true/false for booleans, else repr."""
     if value is None:
@@ -494,14 +575,21 @@ def test_strong_skin_spectrum_and_topology_exit0(tmp_path, mode, n, gamma):
     assert np.all(np.abs(lams - ref) <= tol)
 
 
-def test_failed_command_adds_no_file(tmp_path):
-    # A branch point at z = 1 makes topology exit 3 after det_curve.csv is done.
-    branch = {"mode": "matrix", "alpha1": 0, "alpha2": 0, "beta1": 1, "beta2": -1,
-              "gamma1": 1, "gamma2": -3, "n": 40}
-    cfg = write_config(tmp_path, "branch.json", branch)
+def test_failed_command_adds_no_file(tmp_path, monkeypatch):
+    # A pseudospectrum that does not converge makes topology exit 3 after
+    # det_curve.csv, eig_curves.csv and winding.csv are done.
+    staged = []
+
+    def stalled(*args, **kwargs):
+        staged.append(sorted(p.name for p in tmp_path.glob("*/.staging-*/*")))
+        raise ConvergenceError("sigma_min did not converge")
+
+    monkeypatch.setattr(spectral, "pseudospectrum", stalled)
+    cfg = write_config(tmp_path, "stall.json", dict(FIG1, n=40))
     grid = "--grid=-5,5,-5,5,16,16"
     fresh = tmp_path / "fresh"
     assert main(["topology", "--config", str(cfg), "--out", str(fresh), grid]) == 3
+    assert staged == [["det_curve.csv", "eig_curves.csv", "winding.csv"]]
     assert not fresh.exists()
 
     kept = tmp_path / "kept"

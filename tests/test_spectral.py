@@ -178,10 +178,29 @@ def test_eig_curves_never_raise_on_admissible_params():
 
 
 def test_eig_curves_branch_point_at_loop_start():
-    # det(f - lam I) has a double root at z = 1: the ends cannot be matched.
+    # det(f - lam I) has a double root at z = 1: the branches meet where the
+    # sampled loop starts and ends, and both come back open.
     params = PerturbedDimerParams(0.0, 0.0, 1.0, -1.0, 1.0, -3.0)
-    with pytest.raises(PointOnCurveError):
-        eig_curves(params, 1024)
+    assert ellipse_winding(params, 0.0) is None  # the discriminant loop
+    plus, minus = eig_curves(params, 1024)
+    assert not plus.closed and not minus.closed
+    assert plus.points[0] == minus.points[0] == 0.0
+    with pytest.raises(PointOnCurveError):  # the sampled union cannot match the ends
+        eig_curve_union(params, 1024)
+
+
+def test_eig_curves_swap_flag_matches_tracking():
+    # The closed-form flag says the branches swap exactly when the tracked
+    # branches end nearer each other's start than their own.
+    rng = np.random.default_rng(23)
+    swaps = 0
+    for _ in range(1000):
+        params = random_admissible(rng, with_corners=False)
+        plus, minus = eig_curves(params, 4096)
+        end, own, other = plus.points[-1], plus.points[0], minus.points[0]
+        assert plus.closed == (abs(end - own) < abs(end - other))
+        swaps += not plus.closed
+    assert 100 < swaps < 900
 
 
 def test_eig_curves_identities(cap_params):
